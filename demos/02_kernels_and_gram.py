@@ -45,7 +45,7 @@ print(f"square-root residual ||MM - W||_F = {np.linalg.norm(m @ m - w):.2e}")
 
 sel = build_selectors(series)
 b = build_shifted_product(m, sel)
-spectrum = singular_spectrum(b, l_max=6, n_pairs=sel.n_pairs)
+spectrum = singular_spectrum(b, l_max=6)
 print("leading singular values:", np.round(spectrum.sigma, 5))
 print("squared Frobenius mass :", round(spectrum.frob_sq, 6))
 print()

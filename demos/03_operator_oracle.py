@@ -20,7 +20,7 @@ from hmmorder import (
 series, _ = simulate(shift_scenario(delta=4.0), n_pairs=50, seed=3)
 kernel = KernelSpec("gaussian", 0.5)
 
-_, spectrum = estimate_operator_matrix(series, kernel, l_max=5)
+spectrum = estimate_operator_matrix(series, kernel, l_max=5)
 oracle = quadrature_svd_oracle(series, kernel, grid_size=600, k=5)
 
 print(" j   pipeline      quadrature    rel.gap")
@@ -32,7 +32,7 @@ print("the same holds for circular data and the von Mises kernel:")
 angles = np.mod(np.cumsum(np.random.default_rng(4).uniform(-0.7, 0.7, 41)), 2 * np.pi)
 circ = ObservedSeries.from_points(angles, kind="circular")
 vm = KernelSpec("vonmises", 0.6)
-_, spectrum = estimate_operator_matrix(circ, vm, l_max=4)
+spectrum = estimate_operator_matrix(circ, vm, l_max=4)
 oracle = quadrature_svd_oracle(circ, vm, grid_size=500, k=4)
 for j, (a, b) in enumerate(zip(spectrum.sigma, oracle), start=1):
     print(f" {j}   {a:.8f}   {b:.8f}   {abs(a - b) / b:.2e}")

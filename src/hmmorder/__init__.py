@@ -17,17 +17,12 @@ from .estimator import (
     theoretical_threshold,
 )
 from .gram import (
-    GramArtifacts,
-    LowRankSqrt,
     PairSelectors,
     SingularSpectrum,
     build_gram,
     build_selectors,
     build_shifted_product,
-    build_v,
-    compressed_shifted_product,
     estimate_operator_matrix,
-    low_rank_sqrt,
     psd_sqrt,
     singular_spectrum,
 )
@@ -99,11 +94,9 @@ __all__ = [
     "GaussianComponent",
     "GaussianLoc",
     "GaussianPairMixture",
-    "GramArtifacts",
     "GridOperator",
     "HmmSpec",
     "KernelSpec",
-    "LowRankSqrt",
     "ObservedSeries",
     "OrderEstimate",
     "PairSelectors",
@@ -118,8 +111,6 @@ __all__ = [
     "build_nhat",
     "build_selectors",
     "build_shifted_product",
-    "build_v",
-    "compressed_shifted_product",
     "consistency_schedule",
     "cross_gram",
     "cross_gram_matrix",
@@ -134,7 +125,6 @@ __all__ = [
     "kernel_l2_norm_sq",
     "load_config",
     "load_series",
-    "low_rank_sqrt",
     "make_transition_nu",
     "paper_scenarios",
     "practical_threshold",

@@ -109,9 +109,6 @@ def _cmd_estimate(args) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    kernel = args.kernel
-    if kernel is None:
-        kernel = VONMISES if series.kind == "circular" else GAUSSIAN
     try:
         if args.kappa == "auto":
             kappa = None
@@ -119,7 +116,7 @@ def _cmd_estimate(args) -> int:
             kappa = float(args.kappa)
         if args.beta is None and kappa is not None:
             bandwidth = BandwidthRule(
-                beta=BandwidthRule.default_for(series.dim, kernel).beta, kappa=kappa
+                beta=BandwidthRule.default_for(series.dim).beta, kappa=kappa
             )
         elif args.beta is None:
             bandwidth = None
@@ -128,12 +125,12 @@ def _cmd_estimate(args) -> int:
         threshold = None if args.tau == "auto" else ThresholdRule.explicit(float(args.tau))
         if args.max_univariate:
             estimate = estimate_order_max_univariate(
-                series, kernel=kernel, bandwidth=bandwidth,
+                series, kernel=args.kernel, bandwidth=bandwidth,
                 threshold=threshold, l_max=args.lmax,
             )
         else:
             estimate = estimate_order(
-                series, kernel=kernel, bandwidth=bandwidth,
+                series, kernel=args.kernel, bandwidth=bandwidth,
                 threshold=threshold, l_max=args.lmax,
             )
     except ValueError as exc:

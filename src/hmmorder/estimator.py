@@ -249,9 +249,7 @@ def estimate_order(
         threshold = ThresholdRule.explicit(float(threshold))
     n = series.n_pairs
     l_eff = min(l_max, n)
-    _, spectrum = estimate_operator_matrix(
-        series, spec, l_max=l_eff, keep_pair_matrix=False
-    )
+    spectrum = estimate_operator_matrix(series, spec, l_max=l_eff)
     r_values = tail_stats(spectrum, l_max=l_eff)
     tau = threshold.resolve(n, spec.bandwidth, series.dim, spec)
     l_hat = count_exceedances(r_values, tau)

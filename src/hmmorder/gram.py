@@ -1,28 +1,20 @@
 """Gram matrix of the smoothing kernels, its PSD square root, and the
-pair matrices whose singular values estimate the spectrum of the
-smoothed pair operator.
+shifted product whose singular values are the spectrum of the smoothed
+pair operator.
 
 For observations y_1..y_N (pooled over sequences) the Gram matrix is
 W[i, j] = phi_h(y_i, y_j).  With M = W^(1/2) and the pair selectors
-(first_k, second_k) ranging over within-sequence consecutive pairs, two
-matrices are of interest:
+(first_k, second_k) ranging over within-sequence consecutive pairs, the
+N x N shifted product
 
-* the compressed n x n pair matrix
-      V = (1/n) * M[second, second] @ M[first, first],
-  the classical estimator form, and
-* the full N x N shifted product
-      B = (1/n) * M[:, second] @ M[first, :],
-  whose singular values equal those of the empirical smoothed operator
-  exactly (B = (1/n) * M S M with S the pair-shift selector; M S M and
-  the operator share the same nonzero singular spectrum).
+    B = (1/n) * M[:, second] @ M[first, :] = (1/n) * M S M,
 
-V approaches B's spectrum only up to O(1/n) boundary terms, so the
-spectrum used for order estimation is computed from B.
+with S the pair-shift selector, has exactly the nonzero singular values
+of the empirical smoothed pair operator.  ``estimate_operator_matrix``
+returns that spectrum through the dense square root.
 """
 
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg
@@ -57,16 +49,6 @@ class PairSelectors:
 
 
 @dataclass(frozen=True, eq=False)
-class GramArtifacts:
-    """Gram matrix W, its PSD square root M and the pair matrix V."""
-
-    gram: np.ndarray
-    gram_sqrt: np.ndarray
-    pair: np.ndarray
-    bandwidth: float
-
-
-@dataclass(frozen=True, eq=False)
 class SingularSpectrum:
     """Leading singular values plus the exact squared Frobenius norm.
 
@@ -76,7 +58,6 @@ class SingularSpectrum:
 
     sigma: np.ndarray
     frob_sq: float
-    n_pairs: int
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
@@ -109,10 +90,10 @@ def build_gram(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     return cross_gram_matrix(kernel, series.points)
 
 
-def psd_sqrt(w: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def psd_sqrt(w: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-tol * max(1, lam_max), 0) are treated as round-off
+    Eigenvalues in [-1e-12 * max(1, lam_max), 0) are treated as round-off
     and clamped to zero; anything lower raises, since a genuinely
     indefinite matrix signals a kernel or bandwidth bug.
     """
@@ -124,7 +105,7 @@ def psd_sqrt(w: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     lam, q = np.linalg.eigh(w)
     lam_max = float(lam[-1]) if lam.size else 0.0
-    floor = -tol * max(1.0, lam_max)
+    floor = -1e-12 * max(1.0, lam_max)
     if lam[0] < floor:
         raise np.linalg.LinAlgError(
             f"matrix is not PSD: min eigenvalue {lam[0]:.6e} below {floor:.6e}"
@@ -132,15 +113,6 @@ def psd_sqrt(w: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     lam = np.clip(lam, 0.0, None)
     m = (q * np.sqrt(lam)) @ q.T
     return 0.5 * (m + m.T)
-
-
-def build_v(gram_sqrt: np.ndarray, sel: PairSelectors) -> np.ndarray:
-    """Compressed n x n pair matrix (1/n) M[sec, sec] M[fir, fir]."""
-    m = np.asarray(gram_sqrt, dtype=float)
-    n = sel.n_pairs
-    left = m[np.ix_(sel.second, sel.second)]
-    right = m[np.ix_(sel.first, sel.first)]
-    return left @ right / n
 
 
 def build_shifted_product(gram_sqrt: np.ndarray, sel: PairSelectors) -> np.ndarray:
@@ -151,15 +123,12 @@ def build_shifted_product(gram_sqrt: np.ndarray, sel: PairSelectors) -> np.ndarr
     return m[:, sel.second] @ m[sel.first, :] / n
 
 
-def singular_spectrum(
-    v: np.ndarray, l_max: int = DEFAULT_L_MAX, n_pairs: int | None = None
-) -> SingularSpectrum:
+def singular_spectrum(v: np.ndarray, l_max: int = DEFAULT_L_MAX) -> SingularSpectrum:
     """Leading singular values of ``v`` plus its exact Frobenius mass.
 
     A full SVD is used up to FULL_SVD_MAX_N; beyond that only the top
     ``l_max`` values are computed iteratively, which is all the tail
-    statistics need once ``frob_sq`` is known.  ``n_pairs`` records the
-    pair count when ``v`` is not the n x n compressed form.
+    statistics need once ``frob_sq`` is known.
     """
     v = np.asarray(v, dtype=float)
     if l_max < 1:
@@ -174,126 +143,14 @@ def singular_spectrum(
             v, k=k, v0=v0, return_singular_vectors=False
         )
         sigma = np.sort(sigma)[::-1]
-    return SingularSpectrum(
-        sigma=sigma, frob_sq=frob_sq, n_pairs=v.shape[0] if n_pairs is None else n_pairs
-    )
+    return SingularSpectrum(sigma=sigma, frob_sq=frob_sq)
 
 
 def estimate_operator_matrix(
-    series: ObservedSeries,
-    kernel: KernelSpec,
-    l_max: int = DEFAULT_L_MAX,
-    gram_sqrt=None,
-    keep_pair_matrix: bool = True,
-) -> tuple[GramArtifacts, SingularSpectrum]:
-    """Run the full matrix pipeline for a series.
-
-    Returns the Gram artifacts together with the singular spectrum of
-    the shifted product, i.e. the spectrum of the empirical smoothed
-    operator.  ``gram_sqrt`` may supply a precomputed square root of
-    the Gram matrix, either dense or a LowRankSqrt; the factored form
-    skips every O(N^3) step after the partial eigendecomposition.
-    """
+    series: ObservedSeries, kernel: KernelSpec, l_max: int = DEFAULT_L_MAX
+) -> SingularSpectrum:
+    """Singular spectrum of the empirical smoothed pair operator of a
+    series, from the shifted product of the Gram square root."""
     sel = build_selectors(series)
-    w = build_gram(series, kernel)
-    if isinstance(gram_sqrt, LowRankSqrt):
-        inner = compressed_shifted_product(gram_sqrt, sel)
-        spectrum = singular_spectrum(inner, l_max=l_max, n_pairs=sel.n_pairs)
-        m = gram_sqrt.matrix if keep_pair_matrix else gram_sqrt
-        pair = build_v(gram_sqrt.matrix, sel) if keep_pair_matrix else None
-        return (
-            GramArtifacts(gram=w, gram_sqrt=m, pair=pair, bandwidth=kernel.bandwidth),
-            spectrum,
-        )
-    m = psd_sqrt(w) if gram_sqrt is None else np.asarray(gram_sqrt, dtype=float)
-    if m.shape != w.shape:
-        raise ValueError(f"gram_sqrt has shape {m.shape}, expected {w.shape}")
-    b = build_shifted_product(m, sel)
-    spectrum = singular_spectrum(b, l_max=l_max, n_pairs=sel.n_pairs)
-    pair = build_v(m, sel) if keep_pair_matrix else None
-    artifacts = GramArtifacts(gram=w, gram_sqrt=m, pair=pair, bandwidth=kernel.bandwidth)
-    return artifacts, spectrum
-
-
-@dataclass(frozen=True, eq=False)
-class LowRankSqrt:
-    """Rank-limited approximation of a PSD square root, kept in factored
-    form: M_k = basis @ diag(sqrt_eigs) @ basis.T."""
-
-    basis: np.ndarray
-    sqrt_eigs: np.ndarray
-    rel_error: float
-
-    @property
-    def rank(self) -> int:
-        return self.sqrt_eigs.size
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense (N, N) form; a drop-in square root for the pair matrices."""
-        m = (self.basis * self.sqrt_eigs) @ self.basis.T
-        return 0.5 * (m + m.T)
-
-
-def low_rank_sqrt(
-    w: np.ndarray,
-    target_rank: int,
-    tol: float = 1e-12,
-    oversample: int = 10,
-    seed: int = 0x5EED,
-) -> LowRankSqrt:
-    """Rank-``target_rank`` approximation of W^(1/2) in factored form.
-
-    A seeded randomized range finder with one power pass captures the
-    leading eigenspace (kernel Gram matrices decay fast, so the sketch
-    is effectively exact); near-full requests fall back to a dense
-    eigendecomposition.  The reported relative error is
-    ||Q_k L_k Q_k' - W||_F / ||W||_F, the Gram reconstruction error of
-    the truncated square root, computed exactly through the projection
-    trace identity.
-    """
-    w = np.asarray(w, dtype=float)
-    n = w.shape[0]
-    if target_rank < 1:
-        raise ValueError("target_rank must be >= 1")
-    k = min(target_rank, n)
-    if target_rank + oversample >= n:
-        lam, q = np.linalg.eigh(w)
-        lam, q = lam[::-1][:k].copy(), q[:, ::-1][:, :k].copy()
-    else:
-        rng = np.random.default_rng(seed)
-        sketch = min(n, target_rank + oversample)
-        q, _ = np.linalg.qr(w @ rng.standard_normal((n, sketch)))
-        small = q.T @ (w @ q)
-        lam_s, rot = np.linalg.eigh(0.5 * (small + small.T))
-        lam, rot = lam_s[::-1][:k], rot[:, ::-1][:, :k]
-        q = q @ rot
-    n_pos = int(np.sum(lam > tol * max(1.0, float(lam[0]))))
-    if n_pos < k:
-        warnings.warn(
-            f"requested rank {target_rank} exceeds numerical rank {n_pos}; truncating",
-            stacklevel=2,
-        )
-        lam, q = lam[:n_pos], q[:, :n_pos]
-    lam = np.clip(lam, 0.0, None)
-    # ||W - Q L Q'||_F^2 = ||W||_F^2 - sum(L^2) since Q' W Q = L
-    frob_sq = float(np.sum(w * w))
-    resid = np.sqrt(max(0.0, frob_sq - float(np.sum(lam**2))))
-    return LowRankSqrt(
-        basis=q,
-        sqrt_eigs=np.sqrt(lam),
-        rel_error=resid / max(np.sqrt(frob_sq), 1e-300),
-    )
-
-
-def compressed_shifted_product(low_rank: LowRankSqrt, sel: PairSelectors) -> np.ndarray:
-    """Rank x rank matrix with the same singular values as the shifted
-    product built from the densified low-rank square root.
-
-    With M = Q D Q^T and orthonormal Q, (1/n) M S M = Q [D (Q_sec^T
-    Q_fir) D / n] Q^T, so the inner factor carries the whole spectrum.
-    """
-    q = low_rank.basis
-    inner = q[sel.second, :].T @ q[sel.first, :]
-    d = low_rank.sqrt_eigs
-    return d[:, None] * inner * d[None, :] / sel.n_pairs
+    m = psd_sqrt(build_gram(series, kernel))
+    return singular_spectrum(build_shifted_product(m, sel), l_max=l_max)

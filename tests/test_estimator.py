@@ -27,7 +27,7 @@ def spectrum_from(sigma, frob_sq=None):
     sigma = np.asarray(sigma, dtype=float)
     if frob_sq is None:
         frob_sq = float(np.sum(sigma**2))
-    return SingularSpectrum(sigma=sigma, frob_sq=frob_sq, n_pairs=len(sigma))
+    return SingularSpectrum(sigma=sigma, frob_sq=frob_sq)
 
 
 class TestTailStats:

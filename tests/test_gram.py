@@ -1,4 +1,4 @@
-"""Gram pipeline: selectors, PSD square root, pair matrices, spectra."""
+"""Gram pipeline: selectors, PSD square root, shifted product, spectra."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from hmmorder.gram import (
     build_gram,
     build_selectors,
     build_shifted_product,
-    build_v,
     estimate_operator_matrix,
-    low_rank_sqrt,
     psd_sqrt,
     singular_spectrum,
 )
@@ -132,41 +130,6 @@ class TestPsdSqrt:
 
 
 class TestPairMatrices:
-    def test_identity_gram_single_pair(self):
-        sel = build_selectors(ObservedSeries.from_points(np.array([0.0, 1.0])))
-        v = build_v(np.eye(2), sel)
-        assert v.shape == (1, 1)
-        assert v[0, 0] == pytest.approx(1.0)
-
-    def test_v_generally_asymmetric(self):
-        rng = np.random.default_rng(6)
-        series = random_series(rng, 3)
-        w = build_gram(series, KernelSpec("gaussian", 0.5))
-        m = psd_sqrt(w)
-        v = build_v(m, build_selectors(series))
-        assert np.linalg.norm(v - v.T) > 0
-
-    def test_quadratic_scaling(self):
-        rng = np.random.default_rng(7)
-        series = random_series(rng, 6)
-        m = psd_sqrt(build_gram(series, KernelSpec("gaussian", 0.5)))
-        sel = build_selectors(series)
-        v1 = build_v(m, sel)
-        v2 = build_v(2.0 * m, sel)
-        assert np.allclose(v2, 4.0 * v1, rtol=1e-12)
-        s1 = np.linalg.svd(v1, compute_uv=False)
-        s2 = np.linalg.svd(v2, compute_uv=False)
-        assert np.allclose(s2, 4.0 * s1, rtol=1e-10)
-
-    def test_v_equals_block_formula_single_sequence(self):
-        rng = np.random.default_rng(8)
-        series = random_series(rng, 9)
-        m = psd_sqrt(build_gram(series, KernelSpec("gaussian", 0.6)))
-        sel = build_selectors(series)
-        n = series.n_pairs
-        explicit = m[1:, 1:] @ m[:n, :n] / n
-        assert np.array_equal(build_v(m, sel), explicit)
-
     def test_shifted_product_nonzero_spectrum_matches_two_block_form(self):
         # singular values of (1/n) M S M equal those of
         # (1/n) sqrt(W[sec, sec]) sqrt(W[fir, fir]); both express the
@@ -240,8 +203,8 @@ class TestEstimateOperatorMatrix:
         rng = np.random.default_rng(14)
         y = np.cumsum(rng.standard_normal(30))
         spec = KernelSpec("gaussian", 0.5)
-        _, fwd = estimate_operator_matrix(ObservedSeries.from_points(y), spec, l_max=5)
-        _, rev = estimate_operator_matrix(
+        fwd = estimate_operator_matrix(ObservedSeries.from_points(y), spec, l_max=5)
+        rev = estimate_operator_matrix(
             ObservedSeries.from_points(y[::-1].copy()), spec, l_max=5
         )
         assert np.allclose(fwd.sigma, rev.sigma, rtol=1e-9)
@@ -250,99 +213,16 @@ class TestEstimateOperatorMatrix:
         rng = np.random.default_rng(15)
         a, b = rng.standard_normal(10), rng.standard_normal(8) + 3.0
         spec = KernelSpec("gaussian", 0.5)
-        _, pooled = estimate_operator_matrix(
-            ObservedSeries(sequences=(a, b)), spec, l_max=5
-        )
-        _, merged = estimate_operator_matrix(
-            ObservedSeries.from_points(np.concatenate([a, b])), spec, l_max=5
-        )
-        assert pooled.n_pairs == 16
-        assert merged.n_pairs == 17
+        pooled_series = ObservedSeries(sequences=(a, b))
+        merged_series = ObservedSeries.from_points(np.concatenate([a, b]))
+        assert build_selectors(pooled_series).n_pairs == 16
+        assert build_selectors(merged_series).n_pairs == 17
+        pooled = estimate_operator_matrix(pooled_series, spec, l_max=5)
+        merged = estimate_operator_matrix(merged_series, spec, l_max=5)
         assert not np.allclose(pooled.sigma, merged.sigma, rtol=1e-8)
 
     def test_degenerate_identical_points(self):
         series = ObservedSeries.from_points(np.zeros(12))
-        _, spec = estimate_operator_matrix(series, KernelSpec("gaussian", 0.5), l_max=5)
+        spec = estimate_operator_matrix(series, KernelSpec("gaussian", 0.5), l_max=5)
         assert spec.sigma[0] > 0
         assert spec.sigma[1] == pytest.approx(0.0, abs=1e-10 * spec.sigma[0])
-
-
-class TestLowRankSqrt:
-    def test_exact_recovery_of_low_rank(self):
-        rng = np.random.default_rng(16)
-        base = rng.standard_normal((5, 5))
-        w_small = base.T @ base
-        w = np.kron(np.ones((3, 3)), w_small)  # rank 5, size 15
-        lr = low_rank_sqrt(w, target_rank=5)
-        assert np.linalg.norm(lr.matrix @ lr.matrix - w) <= 1e-8 * np.linalg.norm(w)
-        # the trace-identity residual bottoms out at sqrt(eps)
-        assert lr.rel_error <= 5e-8
-
-    def test_full_rank_limit_matches_psd_sqrt(self):
-        rng = np.random.default_rng(17)
-        a = rng.standard_normal((12, 12))
-        w = a.T @ a
-        lr = low_rank_sqrt(w, target_rank=12)
-        assert np.allclose(lr.matrix, psd_sqrt(w), atol=1e-8)
-
-    def test_overrequested_rank_warns_and_truncates(self):
-        rng = np.random.default_rng(18)
-        base = rng.standard_normal((4, 10))
-        w = base.T @ base  # rank 4, size 10
-        with pytest.warns(UserWarning, match="numerical rank"):
-            lr = low_rank_sqrt(w, target_rank=7)
-        assert lr.rank == 4
-
-    def test_factored_route_matches_densified(self):
-        from hmmorder.gram import compressed_shifted_product
-
-        rng = np.random.default_rng(20)
-        y = np.concatenate([rng.normal(m, 1.0, 40) for m in (-3.0, 3.0)])
-        rng.shuffle(y)
-        series = ObservedSeries.from_points(y)
-        w = build_gram(series, KernelSpec("gaussian", 0.5))
-        sel = build_selectors(series)
-        lr = low_rank_sqrt(w, target_rank=20)
-        dense_b = build_shifted_product(lr.matrix, sel)
-        s_dense = np.linalg.svd(dense_b, compute_uv=False)[:8]
-        inner = compressed_shifted_product(lr, sel)
-        s_inner = np.linalg.svd(inner, compute_uv=False)[:8]
-        assert np.allclose(s_dense, s_inner, rtol=1e-10, atol=1e-14)
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_estimate_operator_matrix_accepts_factored_sqrt(self):
-        rng = np.random.default_rng(21)
-        y = np.cumsum(rng.standard_normal(60))
-        series = ObservedSeries.from_points(y)
-        spec = KernelSpec("gaussian", 0.5)
-        w = build_gram(series, spec)
-        lr = low_rank_sqrt(w, target_rank=35)
-        _, fast = estimate_operator_matrix(series, spec, l_max=6, gram_sqrt=lr,
-                                           keep_pair_matrix=False)
-        _, dense = estimate_operator_matrix(series, spec, l_max=6,
-                                            gram_sqrt=lr.matrix,
-                                            keep_pair_matrix=False)
-        assert np.allclose(fast.sigma, dense.sigma, rtol=1e-9)
-        assert fast.frob_sq == pytest.approx(dense.frob_sq, rel=1e-9)
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_pipeline_top_sigmas_close_to_exact(self):
-        # smooth-kernel Gram matrices have low numerical rank, so the
-        # requested rank may exceed it; the truncation warning is expected
-        rng = np.random.default_rng(19)
-        y = np.concatenate(
-            [rng.normal(m, 1.0, 120) for m in (-4.0, 0.0, 4.0)]
-        )
-        rng.shuffle(y)
-        series = ObservedSeries.from_points(y)
-        kspec = KernelSpec("gaussian", 0.6)
-        w = build_gram(series, kspec)
-        sel = build_selectors(series)
-        exact = np.linalg.svd(
-            build_shifted_product(psd_sqrt(w), sel), compute_uv=False
-        )[:10]
-        lr = low_rank_sqrt(w, target_rank=100)
-        approx = np.linalg.svd(
-            build_shifted_product(lr.matrix, sel), compute_uv=False
-        )[:10]
-        assert np.all(np.abs(approx - exact) <= 0.01 * exact + 1e-12)

@@ -76,7 +76,7 @@ class TestOperatorMatrixEquality:
                 y = np.mod(np.cumsum(rng.uniform(-0.8, 0.8, n_pairs + 1)), 2 * np.pi)
                 series = ObservedSeries.from_points(y, kind="circular")
                 spec = KernelSpec("vonmises", 0.5)
-            _, spectrum = estimate_operator_matrix(series, spec, l_max=5)
+            spectrum = estimate_operator_matrix(series, spec, l_max=5)
             oracle = quadrature_svd_oracle(series, spec, grid_size=500, k=5)
             rel = np.abs(spectrum.sigma - oracle) / oracle
             assert np.max(rel) < 1e-3
@@ -86,7 +86,7 @@ class TestOperatorMatrixEquality:
         seqs = tuple(np.cumsum(rng.standard_normal(k)) for k in (12, 9, 15))
         series = ObservedSeries(sequences=seqs)
         spec = KernelSpec("gaussian", 0.6)
-        _, spectrum = estimate_operator_matrix(series, spec, l_max=5)
+        spectrum = estimate_operator_matrix(series, spec, l_max=5)
         oracle = quadrature_svd_oracle(series, spec, grid_size=500, k=5)
         rel = np.abs(spectrum.sigma - oracle) / oracle
         assert np.max(rel) < 1e-3
@@ -94,7 +94,7 @@ class TestOperatorMatrixEquality:
     def test_hmm_series_leading_values(self):
         series, _ = simulate(shift_scenario(delta=4.0), 49, seed=7)
         spec = KernelSpec("gaussian", 0.5)
-        _, spectrum = estimate_operator_matrix(series, spec, l_max=4)
+        spectrum = estimate_operator_matrix(series, spec, l_max=4)
         oracle = quadrature_svd_oracle(series, spec, grid_size=600, k=4)
         assert np.max(np.abs(spectrum.sigma - oracle) / oracle) < 1e-3
 
