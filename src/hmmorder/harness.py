@@ -1,15 +1,14 @@
 """Replicated Monte Carlo experiments over simulation scenarios.
 
 A configuration spans a grid of sample sizes and estimation methods for
-one scenario.  Every replicate simulates a fresh path and runs the
-requested estimator; seeding is per grid point and per replicate, so
-results are reproducible for any degree of parallelism and adding a
+one scenario.  Every replicate simulates one fresh path and runs every
+requested estimator on it; seeding is per grid point and per replicate,
+so results are reproducible for any degree of parallelism and adding a
 grid row never perturbs the others.
 """
 
 import csv
 import io
-import itertools
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -142,8 +141,8 @@ class ResultTable:
 def _data_seed(config: ExperimentConfig, n: int, replicate: int) -> int:
     """Simulation seed for one replicate of one grid point.
 
-    The method is deliberately excluded: all methods at the same grid
-    point see the same simulated path, which pairs the comparisons.
+    The method is deliberately excluded: the path is simulated once and
+    every method runs on that one series, which pairs the comparisons.
     """
     key = (
         f"{config.scenario}|delta={config.delta!r}|nu={config.nu!r}"
@@ -152,17 +151,11 @@ def _data_seed(config: ExperimentConfig, n: int, replicate: int) -> int:
     return (config.base_seed + replicate + zlib.crc32(key.encode())) % 2**63
 
 
-def _run_replicate(args) -> ReplicateRecord:
-    config, n, method, replicate = args
+def _run_method(
+    config: ExperimentConfig, method: str, series, replicate: int
+) -> ReplicateRecord:
+    """One method on one simulated series; failures are recorded, not raised."""
     kind, spectral_cfg = parse_method(method)
-    spec = get_scenario(
-        config.scenario,
-        noise=config.noise,
-        delta=config.delta,
-        nu=config.nu,
-        dim=config.dim,
-    )
-    series, _ = simulate(spec, n, _data_seed(config, n, replicate))
     bandwidth = None if config.beta is None else BandwidthRule(beta=config.beta)
     try:
         start = time.perf_counter()
@@ -201,41 +194,51 @@ def _run_replicate(args) -> ReplicateRecord:
         )
 
 
+def _run_replicate(args) -> tuple:
+    """Simulate the path of one (n, replicate) pair and run every method
+    on it; one record per method, in ``config.methods`` order."""
+    config, n, replicate = args
+    spec = get_scenario(
+        config.scenario,
+        noise=config.noise,
+        delta=config.delta,
+        nu=config.nu,
+        dim=config.dim,
+    )
+    series, _ = simulate(spec, n, _data_seed(config, n, replicate))
+    return tuple(_run_method(config, method, series, replicate) for method in config.methods)
+
+
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run every replicate of every grid point.
 
     Replicates execute concurrently up to ``config.jobs``; records are
-    reduced in replicate order so the table does not depend on the
-    degree of parallelism.
+    regrouped into (n, method) cells in replicate order, so the table
+    does not depend on the degree of parallelism.
     """
-    tasks = [
-        (config, n, method, rep)
-        for n, method in itertools.product(config.n_list, config.methods)
-        for rep in range(config.replicates)
-    ]
+    tasks = [(config, n, rep) for n in config.n_list for rep in range(config.replicates)]
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_run_replicate, tasks, chunksize=1))
+            results = list(pool.map(_run_replicate, tasks, chunksize=1))
     else:
-        records = [_run_replicate(t) for t in tasks]
+        results = [_run_replicate(t) for t in tasks]
     cells = []
-    idx = 0
-    for n, method in itertools.product(config.n_list, config.methods):
-        chunk = tuple(records[idx : idx + config.replicates])
-        idx += config.replicates
-        cells.append(
-            GridCell(
-                scenario=config.scenario,
-                delta=config.delta,
-                nu=config.nu,
-                beta=config.beta,
-                dim=config.dim,
-                noise=config.noise,
-                n=n,
-                method=method,
-                records=chunk,
+    for i, n in enumerate(config.n_list):
+        rows = results[i * config.replicates : (i + 1) * config.replicates]
+        for j, method in enumerate(config.methods):
+            cells.append(
+                GridCell(
+                    scenario=config.scenario,
+                    delta=config.delta,
+                    nu=config.nu,
+                    beta=config.beta,
+                    dim=config.dim,
+                    noise=config.noise,
+                    n=n,
+                    method=method,
+                    records=tuple(row[j] for row in rows),
+                )
             )
-        )
     return ResultTable(
         cells=tuple(cells), l_max=config.l_max, replicates=config.replicates
     )

@@ -208,12 +208,21 @@ def simulate(
         raise ValueError("need n_pairs >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_obs = n_pairs + 1
+    # Rounding can leave a cumulative sum just below 1; a uniform above
+    # it would then select a state past the last one.
+    start_cum = np.cumsum(spec.stationary)
+    start_cum[-1] = 1.0
     cum = np.cumsum(spec.transition, axis=1)
+    cum[:, -1] = 1.0
     u = rng.random(n_obs)
-    states = np.empty(n_obs, dtype=np.intp)
-    states[0] = np.searchsorted(np.cumsum(spec.stationary), u[0])
-    for t in range(n_pairs):
-        states[t + 1] = np.searchsorted(cum[states[t]], u[t + 1])
+    # successor[s][t]: the state drawn at step t when the chain is in s
+    successor = [np.searchsorted(row, u).tolist() for row in cum]
+    state = int(np.searchsorted(start_cum, u[0]))
+    walk = [state]
+    for t in range(1, n_obs):
+        state = successor[state][t]
+        walk.append(state)
+    states = np.array(walk, dtype=np.intp)
     obs = np.empty((n_obs, spec.dim))
     for ell in range(spec.n_states):
         mask = states == ell

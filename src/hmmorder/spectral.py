@@ -77,14 +77,16 @@ def build_nhat(series: ObservedSeries, n_basis: int) -> np.ndarray:
     """Pairwise basis moment matrix over within-sequence pairs."""
     if series.dim != 1:
         raise ValueError("the spectral baseline handles univariate data only")
-    blocks_first, blocks_second = [], []
+    # one basis evaluation per point; each sequence's pairs are its
+    # consecutive rows, taken as slices so nothing is copied
+    phi = basis_matrix(series.points[:, 0], n_basis)
+    nhat = np.zeros((n_basis, n_basis))
+    start = 0
     for seq in series.sequences:
-        blocks_first.append(seq[:-1, 0])
-        blocks_second.append(seq[1:, 0])
-    first = basis_matrix(np.concatenate(blocks_first), n_basis)
-    second = basis_matrix(np.concatenate(blocks_second), n_basis)
-    n = first.shape[0]
-    return first.T @ second / n
+        block = phi[start : start + seq.shape[0]]
+        start += seq.shape[0]
+        nhat += block[:-1].T @ block[1:]
+    return nhat / series.n_pairs
 
 
 def significance_line(sigma: np.ndarray, n_reg: int) -> np.ndarray:

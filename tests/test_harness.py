@@ -2,6 +2,7 @@
 
 import pytest
 
+from hmmorder import harness
 from hmmorder.harness import (
     ConfigError,
     ExperimentConfig,
@@ -13,6 +14,7 @@ from hmmorder.harness import (
     success_frequencies,
     timing_report,
 )
+from hmmorder.simulate import simulate
 
 
 def small_config(**overrides):
@@ -68,9 +70,15 @@ class TestRunExperiment:
         assert emit_table(t1, include_timing=False) == emit_table(t2, include_timing=False)
 
     def test_jobs_do_not_change_results(self):
-        t1 = run_experiment(small_config(jobs=1))
-        t2 = run_experiment(small_config(jobs=2))
+        kwargs = dict(n_list=(60, 80), methods=("operator", "spectral:10:5"))
+        t1 = run_experiment(small_config(jobs=1, **kwargs))
+        t2 = run_experiment(small_config(jobs=2, **kwargs))
         assert emit_table(t1, include_timing=False) == emit_table(t2, include_timing=False)
+        for c1, c2 in zip(t1.cells, t2.cells):
+            assert (c1.n, c1.method) == (c2.n, c2.method)
+            assert [(r.replicate, r.l_hat, r.sigma) for r in c1.records] == [
+                (r.replicate, r.l_hat, r.sigma) for r in c2.records
+            ]
 
     def test_adding_grid_row_preserves_existing(self):
         t1 = run_experiment(small_config(n_list=(60,)))
@@ -80,16 +88,24 @@ class TestRunExperiment:
         assert [r.l_hat for r in recs1] == [r.l_hat for r in recs2]
         assert [r.sigma for r in recs1] == [r.sigma for r in recs2]
 
-    def test_methods_share_simulated_data(self):
-        table = run_experiment(
-            small_config(n_list=(80,), methods=("operator", "spectral:10:5"))
-        )
-        ops = table.cell(80, "operator").records
-        spectral = table.cell(80, "spectral:10:5").records
-        assert len(ops) == len(spectral) == 4
-        # both methods ran on identically seeded paths; nothing to
-        # compare numerically here beyond successful completion
-        assert all(r.error is None for r in ops + spectral)
+    def test_methods_share_simulated_data(self, monkeypatch):
+        calls = []
+
+        def counting_simulate(spec, n_pairs, seed):
+            calls.append((n_pairs, seed))
+            return simulate(spec, n_pairs, seed)
+
+        monkeypatch.setattr(harness, "simulate", counting_simulate)
+        config = small_config(n_list=(60, 80), methods=("operator", "spectral:10:5"))
+        table = run_experiment(config)
+        # one simulation per (n, replicate), shared by both methods
+        assert len(calls) == len(set(calls)) == 2 * config.replicates
+        assert sorted(n for n, _ in calls) == [60] * 4 + [80] * 4
+        for n in (60, 80):
+            ops = table.cell(n, "operator").records
+            spectral = table.cell(n, "spectral:10:5").records
+            assert [r.replicate for r in ops] == [r.replicate for r in spectral] == [0, 1, 2, 3]
+            assert all(r.error is None for r in ops + spectral)
 
     def test_failure_recorded_not_fatal(self):
         # n_basis larger than the pair count makes the spectral method fail

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from hmmorder.series import CIRCULAR
+from hmmorder.series import CIRCULAR, ObservedSeries
 from hmmorder.simulate import (
     Beta,
     GaussianLoc,
@@ -18,6 +18,33 @@ from hmmorder.simulate import (
     simulate,
     stationary_distribution,
 )
+
+
+def simulate_per_step(spec, n_pairs, seed):
+    """Reference simulator: one searchsorted call per step of the chain,
+    with the same uniforms, draw order and emission sampling."""
+    rng = np.random.default_rng(seed)
+    n_obs = n_pairs + 1
+    cum = np.cumsum(spec.transition, axis=1)
+    u = rng.random(n_obs)
+    states = np.empty(n_obs, dtype=np.intp)
+    states[0] = np.searchsorted(np.cumsum(spec.stationary), u[0])
+    for t in range(n_pairs):
+        states[t + 1] = np.searchsorted(cum[states[t]], u[t + 1])
+    obs = np.empty((n_obs, spec.dim))
+    for ell in range(spec.n_states):
+        mask = states == ell
+        count = int(mask.sum())
+        if count:
+            obs[mask] = spec.emissions[ell].sample(rng, (count, spec.dim))
+    return ObservedSeries.from_points(obs, kind=spec.kind), states
+
+
+class AlmostOneGenerator(np.random.Generator):
+    """Draws every uniform as the largest double below 1."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
 
 
 def power_iteration_stationary(a, iters=20000):
@@ -165,6 +192,38 @@ class TestSimulate:
         series, _ = simulate(spec, 50_000, seed=14)
         assert series.points.min() >= 0.0
         assert series.points.mean() == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("beta3", {}),
+            ("vm3", {}),
+            ("gauss3", {}),
+            ("student-shift", {"dim": 1}),
+            ("gauss-shift", {"dim": 3}),
+            ("gauss-shift", {"nu": 0.15}),
+        ],
+    )
+    def test_matches_per_step_walk(self, name, kwargs):
+        spec = get_scenario(name, **kwargs)
+        for seed in (0, 1, 7, 123):
+            for n_pairs in (1, 40, 3000):
+                series, states = simulate(spec, n_pairs, seed)
+                ref_series, ref_states = simulate_per_step(spec, n_pairs, seed)
+                assert np.array_equal(states, ref_states)
+                assert states.dtype == ref_states.dtype
+                assert np.array_equal(series.points, ref_series.points)
+
+    def test_uniform_above_rounded_cumsum_stays_in_range(self):
+        # the stationary cumsum of nu = 0.15 ends at 0.9999999999999998
+        spec = HmmSpec.from_transition(
+            make_transition_nu(0.15),
+            (GaussianLoc(0.0), GaussianLoc(1.0), GaussianLoc(2.0)),
+        )
+        assert np.cumsum(spec.stationary)[-1] < 1.0
+        series, states = simulate(spec, 5, AlmostOneGenerator(np.random.PCG64(0)))
+        assert np.array_equal(states, np.full(6, 2))
+        assert series.n_points == 6
 
     def test_degenerate_delta_zero(self):
         spec = shift_scenario(delta=0.0)
