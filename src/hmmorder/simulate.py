@@ -245,6 +245,26 @@ def shift_scenario(
     return HmmSpec.from_transition(make_transition_nu(nu), emissions, dim=dim)
 
 
+#: emissions and sample space of each named paper scenario
+_PAPER_EMISSIONS = {
+    "beta3": ((Beta(12.0, 1.0), Beta(1.0, 12.0), Beta(12.0, 12.0)), LINEAR),
+    "gauss3": ((GaussianLoc(-6.0), GaussianLoc(6.0), GaussianLoc(0.0)), LINEAR),
+    "vm3": (
+        (
+            VonMisesLoc(np.pi / 2, 10.0),
+            VonMisesLoc(np.pi / 2 + 2 * np.pi / 3, 10.0),
+            VonMisesLoc(np.pi / 2 + 4 * np.pi / 3, 10.0),
+        ),
+        CIRCULAR,
+    ),
+}
+
+
+def _paper_scenario(name: str, transition: np.ndarray) -> HmmSpec:
+    emissions, kind = _PAPER_EMISSIONS[name]
+    return HmmSpec.from_transition(transition, emissions, kind=kind)
+
+
 def paper_scenarios(nu: float = 0.1) -> dict:
     """The named three-state benchmark scenarios.
 
@@ -254,23 +274,7 @@ def paper_scenarios(nu: float = 0.1) -> dict:
     concentration 10 on the circle.
     """
     a = make_transition_nu(nu)
-    return {
-        "beta3": HmmSpec.from_transition(
-            a, (Beta(12.0, 1.0), Beta(1.0, 12.0), Beta(12.0, 12.0))
-        ),
-        "gauss3": HmmSpec.from_transition(
-            a, (GaussianLoc(-6.0), GaussianLoc(6.0), GaussianLoc(0.0))
-        ),
-        "vm3": HmmSpec.from_transition(
-            a,
-            (
-                VonMisesLoc(np.pi / 2, 10.0),
-                VonMisesLoc(np.pi / 2 + 2 * np.pi / 3, 10.0),
-                VonMisesLoc(np.pi / 2 + 4 * np.pi / 3, 10.0),
-            ),
-            kind=CIRCULAR,
-        ),
-    }
+    return {name: _paper_scenario(name, a) for name in _PAPER_EMISSIONS}
 
 
 def get_scenario(
@@ -295,10 +299,9 @@ def get_scenario(
         return shift_scenario(shift_names[name], delta=delta, nu=nu, dim=dim)
     if name == "shift":
         return shift_scenario(noise, delta=delta, nu=nu, dim=dim)
-    catalog = paper_scenarios(nu)
-    if name in catalog:
-        return catalog[name]
+    if name in _PAPER_EMISSIONS:
+        return _paper_scenario(name, make_transition_nu(nu))
     raise KeyError(
         f"unknown scenario {name!r}; expected one of "
-        f"{sorted(catalog) + sorted(shift_names) + ['shift']}"
+        f"{sorted(_PAPER_EMISSIONS) + sorted(shift_names) + ['shift']}"
     )

@@ -9,6 +9,12 @@ and the order is the length of the leading run of singular values that
 are "significant": larger than ``tau_factor`` times the value predicted
 by a straight line fitted through the smallest ``n_reg`` singular
 values against their index.
+
+The basis takes one ``cos`` and one ``sin`` pass over ``pi * y``; the
+higher frequencies follow from the angle-addition recurrence, whose
+error grows linearly in k.  The moment matrix is summed over blocks of
+at most ``_PAIR_BLOCK`` pairs, so the basis never holds more than
+``_PAIR_BLOCK + 1`` points at once.
 """
 
 from dataclasses import dataclass
@@ -62,30 +68,47 @@ def scale_to_unit(series: ObservedSeries) -> ObservedSeries:
     )
 
 
+#: pairs per block of ``build_nhat``; bounds the basis at O(block * M)
+_PAIR_BLOCK = 2048
+
+
 def basis_matrix(values: np.ndarray, n_basis: int) -> np.ndarray:
     """Trigonometric basis phi_0 = 1, phi_k = sqrt(2) cos(pi k y) for
-    k = 1..n_basis-1, evaluated columnwise."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty((values.size, n_basis))
-    out[:, 0] = 1.0
-    for k in range(1, n_basis):
-        out[:, k] = np.sqrt(2.0) * np.cos(np.pi * k * values)
-    return out
+    k = 1..n_basis-1, one row per point.
+
+    Row k of the (n_basis, n) buffer holds cos(k theta), theta = pi y,
+    the real part of z_k = z_{k-1} z_1 with z_k = cos(k theta) + i
+    sin(k theta).  That complex product is the angle-addition step
+    c_k = c_{k-1} c_1 - s_{k-1} s_1, s_k = s_{k-1} c_1 + c_{k-1} s_1.
+    The (n, n_basis) transpose view is returned.
+    """
+    theta = np.pi * np.asarray(values, dtype=float)
+    rows = np.empty((n_basis, theta.size))
+    rows[0] = 1.0
+    if n_basis > 1:
+        z1 = np.empty(theta.size, dtype=complex)
+        np.cos(theta, out=z1.real)
+        np.sin(theta, out=z1.imag)
+        rows[1] = z1.real
+        z = z1.copy()
+        for k in range(2, n_basis):
+            np.multiply(z, z1, out=z)
+            rows[k] = z.real
+        rows[1:] *= np.sqrt(2.0)
+    return rows.T
 
 
 def build_nhat(series: ObservedSeries, n_basis: int) -> np.ndarray:
     """Pairwise basis moment matrix over within-sequence pairs."""
     if series.dim != 1:
         raise ValueError("the spectral baseline handles univariate data only")
-    # one basis evaluation per point; each sequence's pairs are its
-    # consecutive rows, taken as slices so nothing is copied
-    phi = basis_matrix(series.points[:, 0], n_basis)
     nhat = np.zeros((n_basis, n_basis))
-    start = 0
     for seq in series.sequences:
-        block = phi[start : start + seq.shape[0]]
-        start += seq.shape[0]
-        nhat += block[:-1].T @ block[1:]
+        y = seq[:, 0]
+        # consecutive blocks share one point, so each pair is counted once
+        for a in range(0, y.size - 1, _PAIR_BLOCK):
+            block = basis_matrix(y[a : a + _PAIR_BLOCK + 1], n_basis)
+            nhat += block[:-1].T @ block[1:]
     return nhat / series.n_pairs
 
 

@@ -263,6 +263,16 @@ class TestScenarios:
         assert spec.emissions[1].shift == 4.0
         assert spec.dim == 2
 
+    @pytest.mark.parametrize("nu", [0.1, 0.15])
+    @pytest.mark.parametrize("name", ["beta3", "gauss3", "vm3"])
+    def test_get_scenario_equals_catalog_entry(self, name, nu):
+        spec = get_scenario(name, nu=nu)
+        ref = paper_scenarios(nu)[name]
+        assert np.array_equal(spec.transition, ref.transition)
+        assert np.array_equal(spec.stationary, ref.stationary)
+        assert spec.emissions == ref.emissions
+        assert (spec.dim, spec.kind) == (ref.dim, ref.kind)
+
     def test_unknown_scenario(self):
         with pytest.raises(KeyError):
             get_scenario("nope")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hmmorder import spectral
 from hmmorder.series import ObservedSeries
 from hmmorder.simulate import paper_scenarios, simulate
 from hmmorder.spectral import (
@@ -13,6 +14,16 @@ from hmmorder.spectral import (
     significance_line,
     spectral_order,
 )
+
+
+def basis_matrix_columnwise(values, n_basis):
+    """Reference basis: one cos pass per column, sqrt(2) cos(pi k y)."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty((values.size, n_basis))
+    out[:, 0] = 1.0
+    for k in range(1, n_basis):
+        out[:, k] = np.sqrt(2.0) * np.cos(np.pi * k * values)
+    return out
 
 
 def brute_force_nhat(series, n_basis):
@@ -52,6 +63,49 @@ class TestScaleToUnit:
             scale_to_unit(ObservedSeries.from_points(np.full(5, 2.0)))
 
 
+class TestBasisMatrix:
+    GRID = np.linspace(0.0, 1.0, 20001)  # holds 0, 0.5 and 1 exactly
+
+    # At M = 100 the reference itself is off the exact cosine by up to
+    # 9.5e-14 (its argument pi*k*y rounds at |pi k y| ~ 311), so the
+    # two may differ by slightly more than 1e-13 there.
+    @pytest.mark.parametrize(
+        "n_basis, atol", [(1, 1e-13), (2, 1e-13), (3, 1e-13), (60, 1e-13), (100, 1.5e-13)]
+    )
+    def test_matches_columnwise_reference(self, n_basis, atol):
+        got = basis_matrix(self.GRID, n_basis)
+        ref = basis_matrix_columnwise(self.GRID, n_basis)
+        assert got.shape == ref.shape == (self.GRID.size, n_basis)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="long double has no extra precision"
+    )
+    def test_no_less_accurate_than_columnwise(self):
+        n_basis = 100
+        y = self.GRID.astype(np.longdouble)
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        k = np.arange(n_basis, dtype=np.longdouble)
+        exact = np.sqrt(np.longdouble(2)) * np.cos(pi * k[None, :] * y[:, None])
+        exact[:, 0] = 1
+        err = np.abs(basis_matrix(self.GRID, n_basis) - exact).max()
+        ref_err = np.abs(basis_matrix_columnwise(self.GRID, n_basis) - exact).max()
+        assert err <= ref_err
+
+    @pytest.mark.parametrize("name", ["beta3", "gauss3"])
+    @pytest.mark.parametrize("n_basis", [20, 40, 60])
+    def test_spectral_order_matches_columnwise_basis(self, monkeypatch, name, n_basis):
+        series, _ = simulate(paper_scenarios()[name], 5000, seed=21)
+        config = SpectralConfig(n_basis=n_basis, n_reg=n_basis // 4)
+        got = spectral_order(series, config)
+        monkeypatch.setattr(spectral, "basis_matrix", basis_matrix_columnwise)
+        ref = spectral_order(series, config)
+        assert got.l_hat == ref.l_hat
+        # relative to sigma_1: a perturbation of the matrix moves every
+        # singular value by at most its norm (Weyl), small ones included
+        assert np.abs(got.sigma - ref.sigma).max() <= 1e-12 * ref.sigma[0]
+
+
 class TestBuildNhat:
     def test_constant_series(self):
         series = ObservedSeries.from_points(np.full(10, 0.3))
@@ -77,6 +131,17 @@ class TestBuildNhat:
         )
         got = build_nhat(series, 5)
         assert np.allclose(got, brute_force_nhat(series, 5), atol=1e-12)
+
+    def test_block_edges_count_each_pair_once(self, monkeypatch):
+        # a block of 7 pairs spans 8 points; lengths 7, 8, 15 and 23 put
+        # sequence ends just before, on and after block edges
+        monkeypatch.setattr(spectral, "_PAIR_BLOCK", 7)
+        rng = np.random.default_rng(4)
+        series = ObservedSeries(
+            sequences=tuple(rng.uniform(0, 1, m) for m in (2, 7, 8, 15, 23))
+        )
+        got = build_nhat(series, 6)
+        np.testing.assert_allclose(got, brute_force_nhat(series, 6), rtol=0, atol=1e-12)
 
 
 class TestSignificanceRule:
