@@ -17,7 +17,6 @@ returns that spectrum through the dense square root.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .kernels import KernelSpec, cross_gram_matrix
 from .series import ObservedSeries
@@ -138,6 +137,9 @@ def singular_spectrum(v: np.ndarray, l_max: int = DEFAULT_L_MAX) -> SingularSpec
     if min(v.shape) <= FULL_SVD_MAX_N:
         sigma = np.linalg.svd(v, compute_uv=False)[:k]
     else:
+        # loaded here only: importing the package should not pay for it
+        import scipy.sparse.linalg
+
         v0 = np.full(v.shape[1], v.shape[1] ** -0.5)
         sigma = scipy.sparse.linalg.svds(
             v, k=k, v0=v0, return_singular_vectors=False

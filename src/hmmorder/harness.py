@@ -11,7 +11,6 @@ import csv
 import io
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from .estimator import estimate_order, estimate_order_max_univariate
 from .gram import DEFAULT_L_MAX
 from .kernels import BandwidthRule
 from .simulate import GAUSSIAN_NOISE, get_scenario, simulate
-from .spectral import SpectralConfig, spectral_order
+from .spectral import SpectralConfig, moment_matrix, spectral_order
 
 OPERATOR = "operator"
 OPERATOR_MAX = "operator-max"
@@ -77,6 +76,15 @@ def parse_method(method: str):
 
 @dataclass(frozen=True)
 class ReplicateRecord:
+    """One method's result on one replicate.
+
+    ``seconds`` is the wall time of the estimate.  The spectral methods
+    of a replicate share one moment matrix, built at the largest basis
+    size that fits the series; its build time is charged to the first
+    method whose ``n_basis`` equals that size, so the ``seconds`` of the
+    other spectral methods cover their SVD and significance rule only.
+    """
+
     replicate: int
     l_hat: int | None
     tau: float | None
@@ -152,9 +160,19 @@ def _data_seed(config: ExperimentConfig, n: int, replicate: int) -> int:
 
 
 def _run_method(
-    config: ExperimentConfig, method: str, series, replicate: int
+    config: ExperimentConfig,
+    method: str,
+    series,
+    replicate: int,
+    moments=None,
+    build_seconds: float = 0.0,
 ) -> ReplicateRecord:
-    """One method on one simulated series; failures are recorded, not raised."""
+    """One method on one simulated series; failures are recorded, not raised.
+
+    A spectral method takes its moment matrix from ``moments`` when
+    given; ``build_seconds``, the time that built it, is added to the
+    record's ``seconds``.
+    """
     kind, spectral_cfg = parse_method(method)
     bandwidth = None if config.beta is None else BandwidthRule(beta=config.beta)
     try:
@@ -170,10 +188,10 @@ def _run_method(
             l_hat, tau, h = est.l_hat, est.tau, est.bandwidth
             sigma = tuple(float(x) for x in est.r_values[: config.l_max])
         else:
-            res = spectral_order(series, spectral_cfg)
+            res = spectral_order(series, spectral_cfg, moments=moments)
             l_hat, tau, h = res.l_hat, None, None
             sigma = tuple(float(x) for x in res.sigma[: config.l_max])
-        seconds = time.perf_counter() - start
+        seconds = time.perf_counter() - start + build_seconds
         return ReplicateRecord(
             replicate=replicate,
             l_hat=l_hat,
@@ -194,19 +212,45 @@ def _run_method(
         )
 
 
+def _shared_moments(config: ExperimentConfig, series) -> tuple:
+    """(moments, seconds): one moment matrix for every spectral method
+    that fits the series, at the largest such basis size, and the time
+    its build took.  ``(None, 0.0)`` when no spectral method fits or the
+    build fails; each method then builds on its own and records its own
+    error."""
+    sizes = [
+        cfg.n_basis
+        for kind, cfg in map(parse_method, config.methods)
+        if kind == SPECTRAL_PREFIX and cfg.n_basis <= series.n_pairs
+    ]
+    if not sizes:
+        return None, 0.0
+    start = time.perf_counter()
+    try:
+        moments = moment_matrix(series, max(sizes))
+    except Exception:  # repeated, and recorded, by every spectral method
+        return None, 0.0
+    return moments, time.perf_counter() - start
+
+
 def _run_replicate(args) -> tuple:
     """Simulate the path of one (n, replicate) pair and run every method
     on it; one record per method, in ``config.methods`` order."""
-    config, n, replicate = args
-    spec = get_scenario(
-        config.scenario,
-        noise=config.noise,
-        delta=config.delta,
-        nu=config.nu,
-        dim=config.dim,
-    )
+    config, spec, n, replicate = args
     series, _ = simulate(spec, n, _data_seed(config, n, replicate))
-    return tuple(_run_method(config, method, series, replicate) for method in config.methods)
+    moments, build_seconds = _shared_moments(config, series)
+    records = []
+    for method in config.methods:
+        kind, spectral_cfg = parse_method(method)
+        size = None if kind != SPECTRAL_PREFIX else spectral_cfg.n_basis
+        if moments is None or size is None or size > len(moments):
+            records.append(_run_method(config, method, series, replicate))
+            continue
+        # the build is charged once, to the first method of its size
+        charge = build_seconds if size == len(moments) else 0.0
+        build_seconds -= charge
+        records.append(_run_method(config, method, series, replicate, moments, charge))
+    return tuple(records)
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
@@ -216,8 +260,20 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     regrouped into (n, method) cells in replicate order, so the table
     does not depend on the degree of parallelism.
     """
-    tasks = [(config, n, rep) for n in config.n_list for rep in range(config.replicates)]
+    spec = get_scenario(
+        config.scenario,
+        noise=config.noise,
+        delta=config.delta,
+        nu=config.nu,
+        dim=config.dim,
+    )
+    tasks = [
+        (config, spec, n, rep) for n in config.n_list for rep in range(config.replicates)
+    ]
     if config.jobs > 1 and len(tasks) > 1:
+        # loaded here only: serial runs do not pay for the import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_run_replicate, tasks, chunksize=1))
     else:

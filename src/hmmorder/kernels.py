@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import i0e
 
 from .series import ObservedSeries
 
@@ -119,6 +118,18 @@ def _check_finite(u) -> np.ndarray:
     return arr
 
 
+def _i0e(x):
+    """Exponentially scaled Bessel function I0.
+
+    ``scipy.special`` is loaded on first use: it imports
+    ``numpy.testing`` and with it ``concurrent.futures``, which only the
+    von Mises kernel needs to pay for.
+    """
+    from scipy.special import i0e
+
+    return i0e(x)
+
+
 def kernel_eval(spec: KernelSpec, u) -> np.ndarray | float:
     """Evaluate the unscaled univariate kernel at ``u``.
 
@@ -132,7 +143,7 @@ def kernel_eval(spec: KernelSpec, u) -> np.ndarray | float:
         out = np.exp(-0.5 * arr**2) / SQRT_2PI
     else:
         kap = spec.concentration
-        out = np.exp(kap * (np.cos(arr) - 1.0)) / (2.0 * np.pi * i0e(kap))
+        out = np.exp(kap * (np.cos(arr) - 1.0)) / (2.0 * np.pi * _i0e(kap))
     return out if out.ndim else float(out)
 
 
@@ -154,8 +165,8 @@ def cross_gram(spec, a, b) -> float:
     kap = spec.concentration
     c = abs(np.cos(0.5 * (float(a[0]) - float(b[0]))))
     # I0(2*kap*c) / (2*pi*I0(kap)^2) written with exp-scaled Bessels
-    return float(i0e(2.0 * kap * c) * np.exp(2.0 * kap * (c - 1.0))) / (
-        2.0 * np.pi * float(i0e(kap)) ** 2
+    return float(_i0e(2.0 * kap * c) * np.exp(2.0 * kap * (c - 1.0))) / (
+        2.0 * np.pi * float(_i0e(kap)) ** 2
     )
 
 
@@ -184,8 +195,8 @@ def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
         kap = spec.concentration
         ang = pts[:, 0]
         c = np.abs(np.cos(0.5 * (ang[:, None] - ang[None, :])))
-        w = i0e(2.0 * kap * c) * np.exp(2.0 * kap * (c - 1.0))
-        w /= 2.0 * np.pi * float(i0e(kap)) ** 2
+        w = _i0e(2.0 * kap * c) * np.exp(2.0 * kap * (c - 1.0))
+        w /= 2.0 * np.pi * float(_i0e(kap)) ** 2
     if not np.all(np.isfinite(w)):
         i, j = np.argwhere(~np.isfinite(w))[0]
         raise FloatingPointError(
@@ -209,7 +220,7 @@ def kernel_l2_norm_sq(spec) -> float:
     if spec.family == GAUSSIAN:
         return GAUSSIAN_L2_SQ
     kap = spec.concentration
-    return float(i0e(2.0 * kap)) / (2.0 * np.pi * float(i0e(kap)) ** 2)
+    return float(_i0e(2.0 * kap)) / (2.0 * np.pi * float(_i0e(kap)) ** 2)
 
 
 def silverman_kappa(series: ObservedSeries) -> float:

@@ -4,6 +4,12 @@ Covers the emission families used throughout the experiments: the
 state-shift model with exchangeable noise (Gaussian, Student t3,
 Laplace, Exponential), Beta emissions on [0, 1], Gaussian location
 emissions on R, and von Mises emissions on the circle.
+
+The chain is walked in blocks of ``_WALK_BLOCK`` steps: each block is
+walked from every state at once by vectorised gathers, and a short
+Python loop chains the block end states from the true start.  The
+states, the uniforms that drive them and the emission draw order are
+those of a walk one step at a time.
 """
 
 import warnings
@@ -194,6 +200,45 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     return pi
 
 
+#: steps per block of the chain walk in ``_walk``
+_WALK_BLOCK = 64
+
+
+def _walk(cum: np.ndarray, u: np.ndarray, start: int) -> np.ndarray:
+    """States of the chain with cumulative transition rows ``cum``:
+    ``states[0] = start`` and ``states[t] = searchsorted(cum[states[t-1]], u[t])``.
+
+    The steps are cut into blocks of ``_WALK_BLOCK``.  Every block is
+    walked from every state at once, the block end states are chained
+    from ``start``, and each block keeps the trajectory from its true
+    entry state.
+    """
+    n_steps = u.size - 1
+    n_blocks = -(-n_steps // _WALK_BLOCK)
+    steps = np.zeros(n_blocks * _WALK_BLOCK)
+    steps[:n_steps] = u[1:]
+    steps = steps.reshape(n_blocks, _WALK_BLOCK).T.copy()
+    # The successor of state s under u is sum_c (u > cum[s, c]), which
+    # is searchsorted (side left) on the nondecreasing row; padded steps
+    # draw u = 0 and stay in range.  flat[j, s, b] holds the state after
+    # step j of block b, entered in state s, as state * n_blocks + b.
+    above = steps[:, None, None, :] > cum[None, :, :-1, None]
+    flat = np.sum(above, axis=2, dtype=np.intp)
+    blocks = np.arange(n_blocks)
+    flat *= n_blocks
+    flat += blocks
+    rows = flat.reshape(_WALK_BLOCK, -1)
+    for j in range(1, _WALK_BLOCK):
+        rows[j] = rows[j][rows[j - 1]]
+    entry = [start]
+    for ends in (flat[-1, :, :-1] // n_blocks).T.tolist():
+        entry.append(ends[entry[-1]])
+    states = np.empty(u.size, dtype=np.intp)
+    states[0] = start
+    states[1:] = (flat[:, entry, blocks] // n_blocks).T.ravel()[:n_steps]
+    return states
+
+
 def simulate(
     spec: HmmSpec, n_pairs: int, seed: int | np.random.Generator
 ) -> tuple[ObservedSeries, np.ndarray]:
@@ -215,14 +260,7 @@ def simulate(
     cum = np.cumsum(spec.transition, axis=1)
     cum[:, -1] = 1.0
     u = rng.random(n_obs)
-    # successor[s][t]: the state drawn at step t when the chain is in s
-    successor = [np.searchsorted(row, u).tolist() for row in cum]
-    state = int(np.searchsorted(start_cum, u[0]))
-    walk = [state]
-    for t in range(1, n_obs):
-        state = successor[state][t]
-        walk.append(state)
-    states = np.array(walk, dtype=np.intp)
+    states = _walk(cum, u, int(np.searchsorted(start_cum, u[0])))
     obs = np.empty((n_obs, spec.dim))
     for ell in range(spec.n_states):
         mask = states == ell

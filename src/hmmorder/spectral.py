@@ -15,6 +15,12 @@ higher frequencies follow from the angle-addition recurrence, whose
 error grows linearly in k.  The moment matrix is summed over blocks of
 at most ``_PAIR_BLOCK`` pairs, so the basis never holds more than
 ``_PAIR_BLOCK + 1`` points at once.
+
+phi_k does not depend on M, so the moment matrix for a basis of size
+M is the leading M x M block of the one for any larger basis.
+``moment_matrix`` builds it once at the largest size, and
+``spectral_order`` takes that block through ``moments=``; the harness
+shares one matrix between all spectral methods of a replicate.
 """
 
 from dataclasses import dataclass
@@ -123,19 +129,38 @@ def significance_line(sigma: np.ndarray, n_reg: int) -> np.ndarray:
     return intercept + slope * idx
 
 
-def spectral_order(series: ObservedSeries, config: SpectralConfig) -> SpectralResult:
-    """Run the spectral baseline on a univariate series.
+def moment_matrix(series: ObservedSeries, n_basis: int) -> np.ndarray:
+    """The ``n_basis`` x ``n_basis`` moment matrix of a univariate series.
 
     Observations are mapped to the unit interval only when they fall
-    outside [0, 1].  Counting stops at the first non-significant
-    singular value.
+    outside [0, 1].  The leading k x k block of the result is the
+    moment matrix for a basis of size k.
     """
-    if config.n_basis > series.n_pairs:
+    if n_basis > series.n_pairs:
         raise ValueError("n_basis must not exceed the number of pairs")
     pts = series.points[:, 0]
     if pts.min() < 0.0 or pts.max() > 1.0:
         series = scale_to_unit(series)
-    nhat = build_nhat(series, config.n_basis)
+    return build_nhat(series, n_basis)
+
+
+def spectral_order(
+    series: ObservedSeries, config: SpectralConfig, moments: np.ndarray | None = None
+) -> SpectralResult:
+    """Run the spectral baseline on a univariate series.
+
+    ``moments``, when given, is ``moment_matrix(series, m)`` for some
+    m >= ``config.n_basis``, and its leading block is used in place of
+    a fresh build.  Counting stops at the first non-significant
+    singular value.
+    """
+    if moments is None:
+        moments = moment_matrix(series, config.n_basis)
+    elif moments.shape[0] < config.n_basis:
+        raise ValueError(
+            f"moments of size {moments.shape[0]} cannot serve n_basis {config.n_basis}"
+        )
+    nhat = moments[: config.n_basis, : config.n_basis]
     sigma = np.linalg.svd(nhat, compute_uv=False)
     fitted = significance_line(sigma, config.n_reg)
     significant = sigma > config.tau_factor * fitted

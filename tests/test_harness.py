@@ -1,8 +1,16 @@
 """Experiment harness: determinism, table rendering, config parsing."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from hmmorder import harness
+import hmmorder
+from hmmorder import harness, spectral
 from hmmorder.harness import (
     ConfigError,
     ExperimentConfig,
@@ -14,7 +22,8 @@ from hmmorder.harness import (
     success_frequencies,
     timing_report,
 )
-from hmmorder.simulate import simulate
+from hmmorder.simulate import get_scenario, simulate
+from hmmorder.spectral import SpectralConfig, spectral_order
 
 
 def small_config(**overrides):
@@ -107,6 +116,81 @@ class TestRunExperiment:
             assert [r.replicate for r in ops] == [r.replicate for r in spectral] == [0, 1, 2, 3]
             assert all(r.error is None for r in ops + spectral)
 
+    def test_shared_moments_match_standalone_calls(self):
+        config = small_config(
+            scenario="beta3", n_list=(300,), methods=("spectral:20:10", "spectral:40:20")
+        )
+        table = run_experiment(config)
+        spec = get_scenario("beta3")
+        for method in config.methods:
+            _, cfg = parse_method(method)
+            for rec in table.cell(300, method).records:
+                seed = harness._data_seed(config, 300, rec.replicate)
+                series, _ = simulate(spec, 300, seed)
+                alone = spectral_order(series, cfg)
+                assert rec.l_hat == alone.l_hat
+                sigma = np.array(rec.sigma)
+                ref = alone.sigma[: sigma.size]
+                assert np.max(np.abs(sigma - ref)) <= 1e-12 * alone.sigma[0]
+
+    def test_one_moment_matrix_per_replicate(self, monkeypatch):
+        sizes = []
+        build_nhat = spectral.build_nhat
+
+        def counting_build_nhat(series, n_basis):
+            sizes.append(n_basis)
+            return build_nhat(series, n_basis)
+
+        monkeypatch.setattr(spectral, "build_nhat", counting_build_nhat)
+        config = small_config(
+            scenario="beta3", methods=("spectral:20:10", "operator", "spectral:40:20")
+        )
+        table = run_experiment(config)
+        assert sizes == [40] * config.replicates
+        assert not any(cell.failed for cell in table.cells)
+
+    def test_build_charged_to_method_of_its_size(self, monkeypatch):
+        def slow_moment_matrix(series, n_basis):
+            time.sleep(0.2)
+            return spectral.moment_matrix(series, n_basis)
+
+        monkeypatch.setattr(harness, "moment_matrix", slow_moment_matrix)
+        config = small_config(
+            scenario="beta3",
+            methods=("spectral:20:10", "spectral:40:20", "spectral:40:35"),
+            replicates=2,
+        )
+        table = run_experiment(config)
+        for method, charged in (
+            ("spectral:20:10", False),
+            ("spectral:40:20", True),
+            ("spectral:40:35", False),
+        ):
+            for rec in table.cell(60, method).records:
+                assert (rec.seconds >= 0.2) == charged
+
+    def test_basis_between_sizes_fails_alone(self):
+        config = small_config(
+            scenario="beta3", n_list=(30,), methods=("spectral:20:10", "spectral:40:20")
+        )
+        table = run_experiment(config)
+        assert not table.cell(30, "spectral:20:10").failed
+        for rec in table.cell(30, "spectral:40:20").records:
+            assert rec.error == "ValueError: n_basis must not exceed the number of pairs"
+
+    def test_failed_shared_build_leaves_each_method_its_error(self):
+        # bivariate data: the spectral baseline cannot scale them
+        config = small_config(dim=2, methods=("spectral:10:5", "spectral:20:10"))
+        series, _ = simulate(
+            get_scenario("gauss-shift", dim=2), 60, harness._data_seed(config, 60, 0)
+        )
+        with pytest.raises(ValueError) as excinfo:
+            spectral_order(series, SpectralConfig(n_basis=10, n_reg=5))
+        expected = f"ValueError: {excinfo.value}"
+        table = run_experiment(config)
+        for cell in table.cells:
+            assert [r.error for r in cell.records] == [expected] * config.replicates
+
     def test_failure_recorded_not_fatal(self):
         # n_basis larger than the pair count makes the spectral method fail
         table = run_experiment(small_config(n_list=(20,), methods=("spectral:30:5",)))
@@ -150,6 +234,27 @@ class TestRunExperiment:
         low = table.cell(60, "operator").count_of(3)
         high = table.cell(700, "operator").count_of(3)
         assert high >= low
+
+
+class TestImports:
+    def test_import_loads_no_pool_or_sparse_solver(self):
+        code = (
+            "import sys, hmmorder; "
+            "print([m for m in ('scipy.sparse.linalg', 'concurrent.futures') "
+            "if m in sys.modules])"
+        )
+        src = str(Path(hmmorder.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestEmitTable:

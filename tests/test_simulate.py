@@ -1,5 +1,7 @@
 """HMM simulator: transition family, stationarity, determinism."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -18,6 +20,10 @@ from hmmorder.simulate import (
     simulate,
     stationary_distribution,
 )
+
+
+# the package exports the function ``simulate`` under the module's name
+simulate_module = import_module("hmmorder.simulate")
 
 
 def simulate_per_step(spec, n_pairs, seed):
@@ -229,6 +235,51 @@ class TestSimulate:
         spec = shift_scenario(delta=0.0)
         series, _ = simulate(spec, 500, seed=15)
         assert np.std(series.points) == pytest.approx(1.0, abs=0.15)
+
+
+def assert_matches_per_step(spec, n_pairs, seed):
+    series, states = simulate(spec, n_pairs, seed)
+    ref_series, ref_states = simulate_per_step(spec, n_pairs, seed)
+    assert np.array_equal(states, ref_states)
+    assert np.array_equal(series.points, ref_series.points)
+    return states
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("n_pairs", [63, 64, 65, 127, 128, 129])
+    def test_block_edges(self, n_pairs):
+        assert simulate_module._WALK_BLOCK == 64
+        for name in ("beta3", "gauss-shift"):
+            for seed in (0, 3):
+                assert_matches_per_step(get_scenario(name), n_pairs, seed)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(simulate_module, "_WALK_BLOCK", block)
+        spec = get_scenario("gauss-shift", nu=0.15)
+        for n_pairs in (1, 2, 6, 7, 8, 14, 15, 100):
+            assert_matches_per_step(spec, n_pairs, seed=n_pairs)
+
+    def test_one_state_chain(self):
+        spec = HmmSpec.from_transition([[1.0]], (GaussianLoc(0.0),))
+        for n_pairs in (1, 64, 200):
+            states = assert_matches_per_step(spec, n_pairs, seed=4)
+            assert np.array_equal(states, np.zeros(n_pairs + 1, dtype=np.intp))
+
+    def test_zero_transition_entries(self):
+        a = np.array(
+            [
+                [0.5, 0.5, 0.0, 0.0, 0.0],
+                [0.0, 0.2, 0.8, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0, 0.0],
+                [0.1, 0.0, 0.0, 0.6, 0.3],
+                [0.0, 0.25, 0.0, 0.0, 0.75],
+            ]
+        )
+        spec = HmmSpec.from_transition(a, tuple(GaussianLoc(float(k)) for k in range(5)))
+        for n_pairs in (5, 64, 65, 1000):
+            states = assert_matches_per_step(spec, n_pairs, seed=n_pairs)
+            assert np.all(a[states[:-1], states[1:]] > 0)
 
 
 class TestScenarios:

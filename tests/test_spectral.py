@@ -10,6 +10,7 @@ from hmmorder.spectral import (
     SpectralConfig,
     basis_matrix,
     build_nhat,
+    moment_matrix,
     scale_to_unit,
     significance_line,
     spectral_order,
@@ -205,6 +206,25 @@ class TestSpectralOrder:
         series, _ = simulate(paper_scenarios()["beta3"], 10, seed=13)
         with pytest.raises(ValueError, match="pairs"):
             spectral_order(series, SpectralConfig(n_basis=20, n_reg=5))
+
+    @pytest.mark.parametrize("name", ["beta3", "gauss3"])
+    def test_leading_block_of_larger_moments(self, name):
+        series, _ = simulate(paper_scenarios()[name], 3000, seed=14)
+        moments = moment_matrix(series, 40)
+        small = moment_matrix(series, 20)
+        assert np.max(np.abs(moments[:20, :20] - small)) <= 1e-14
+        for n_basis, n_reg in ((20, 10), (40, 20)):
+            config = SpectralConfig(n_basis=n_basis, n_reg=n_reg)
+            shared = spectral_order(series, config, moments=moments)
+            alone = spectral_order(series, config)
+            assert shared.l_hat == alone.l_hat
+            assert np.max(np.abs(shared.sigma - alone.sigma)) <= 1e-12 * alone.sigma[0]
+
+    def test_too_small_moments_rejected(self):
+        series, _ = simulate(paper_scenarios()["beta3"], 400, seed=15)
+        moments = moment_matrix(series, 10)
+        with pytest.raises(ValueError, match="cannot serve"):
+            spectral_order(series, SpectralConfig(n_basis=20, n_reg=5), moments=moments)
 
     def test_reg_too_small_rejected(self):
         with pytest.raises(ValueError, match="two points"):
