@@ -8,16 +8,15 @@ spectrum of the smoothed pair operator.
 
 import numpy as np
 
-from hmmorder import (
-    KernelSpec,
-    ObservedSeries,
+from hmmorder import KernelSpec, ObservedSeries
+from hmmorder.gram import (
     build_gram,
     build_selectors,
     build_shifted_product,
-    cross_gram,
     psd_sqrt,
     singular_spectrum,
 )
+from hmmorder.kernels import cross_gram
 
 # closed forms at a glance
 g = KernelSpec("gaussian", 1.0)

@@ -8,14 +8,9 @@ routes share no code beyond the kernel definition.
 
 import numpy as np
 
-from hmmorder import (
-    KernelSpec,
-    ObservedSeries,
-    estimate_operator_matrix,
-    quadrature_svd_oracle,
-    shift_scenario,
-    simulate,
-)
+from hmmorder import KernelSpec, ObservedSeries, shift_scenario, simulate
+from hmmorder.gram import estimate_operator_matrix
+from hmmorder.quadrature import quadrature_svd_oracle
 
 series, _ = simulate(shift_scenario(delta=4.0), n_pairs=50, seed=3)
 kernel = KernelSpec("gaussian", 0.5)

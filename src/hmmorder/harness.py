@@ -25,6 +25,21 @@ OPERATOR = "operator"
 OPERATOR_MAX = "operator-max"
 SPECTRAL_PREFIX = "spectral"
 
+#: the operator method against the spectral grid used for comparisons:
+#: M in {20, 40, 60} crossed with M_reg in {5, M/2, M-5}
+COMPARISON_METHODS = (
+    OPERATOR,
+    "spectral:20:5",
+    "spectral:20:10",
+    "spectral:20:15",
+    "spectral:40:5",
+    "spectral:40:20",
+    "spectral:40:35",
+    "spectral:60:5",
+    "spectral:60:30",
+    "spectral:60:55",
+)
+
 #: scenarios with a known true order (all benchmark scenarios have three states)
 KNOWN_ORDER = 3
 
@@ -161,36 +176,33 @@ def _data_seed(config: ExperimentConfig, n: int, replicate: int) -> int:
 
 def _run_method(
     config: ExperimentConfig,
-    method: str,
+    kind: str,
+    spectral_cfg,
     series,
     replicate: int,
     moments=None,
     build_seconds: float = 0.0,
 ) -> ReplicateRecord:
-    """One method on one simulated series; failures are recorded, not raised.
+    """One parsed method on one simulated series; failures are recorded,
+    not raised.
 
     A spectral method takes its moment matrix from ``moments`` when
     given; ``build_seconds``, the time that built it, is added to the
     record's ``seconds``.
     """
-    kind, spectral_cfg = parse_method(method)
     bandwidth = None if config.beta is None else BandwidthRule(beta=config.beta)
     try:
         start = time.perf_counter()
-        if kind == OPERATOR:
-            est = estimate_order(series, bandwidth=bandwidth, l_max=config.l_max)
-            l_hat, tau, h = est.l_hat, est.tau, est.bandwidth
-            sigma = tuple(float(x) for x in est.r_values[: config.l_max])
-        elif kind == OPERATOR_MAX:
-            est = estimate_order_max_univariate(
-                series, bandwidth=bandwidth, l_max=config.l_max
-            )
-            l_hat, tau, h = est.l_hat, est.tau, est.bandwidth
-            sigma = tuple(float(x) for x in est.r_values[: config.l_max])
-        else:
+        if kind == SPECTRAL_PREFIX:
             res = spectral_order(series, spectral_cfg, moments=moments)
-            l_hat, tau, h = res.l_hat, None, None
-            sigma = tuple(float(x) for x in res.sigma[: config.l_max])
+            l_hat, tau, h, values = res.l_hat, None, None, res.sigma
+        else:
+            estimator = (
+                estimate_order if kind == OPERATOR else estimate_order_max_univariate
+            )
+            est = estimator(series, bandwidth=bandwidth, l_max=config.l_max)
+            l_hat, tau, h, values = est.l_hat, est.tau, est.bandwidth, est.r_values
+        sigma = tuple(float(x) for x in values[: config.l_max])
         seconds = time.perf_counter() - start + build_seconds
         return ReplicateRecord(
             replicate=replicate,
@@ -212,15 +224,15 @@ def _run_method(
         )
 
 
-def _shared_moments(config: ExperimentConfig, series) -> tuple:
+def _shared_moments(parsed: tuple, series) -> tuple:
     """(moments, seconds): one moment matrix for every spectral method
-    that fits the series, at the largest such basis size, and the time
-    its build took.  ``(None, 0.0)`` when no spectral method fits or the
-    build fails; each method then builds on its own and records its own
-    error."""
+    of ``parsed`` that fits the series, at the largest such basis size,
+    and the time its build took.  ``(None, 0.0)`` when no spectral method
+    fits or the build fails; each method then builds on its own and
+    records its own error."""
     sizes = [
         cfg.n_basis
-        for kind, cfg in map(parse_method, config.methods)
+        for kind, cfg in parsed
         if kind == SPECTRAL_PREFIX and cfg.n_basis <= series.n_pairs
     ]
     if not sizes:
@@ -234,22 +246,23 @@ def _shared_moments(config: ExperimentConfig, series) -> tuple:
 
 
 def _run_replicate(args) -> tuple:
-    """Simulate the path of one (n, replicate) pair and run every method
-    on it; one record per method, in ``config.methods`` order."""
-    config, spec, n, replicate = args
+    """Simulate the path of one (n, replicate) pair and run every parsed
+    method on it; one record per method, in ``config.methods`` order."""
+    config, parsed, spec, n, replicate = args
     series, _ = simulate(spec, n, _data_seed(config, n, replicate))
-    moments, build_seconds = _shared_moments(config, series)
+    moments, build_seconds = _shared_moments(parsed, series)
     records = []
-    for method in config.methods:
-        kind, spectral_cfg = parse_method(method)
+    for kind, spectral_cfg in parsed:
         size = None if kind != SPECTRAL_PREFIX else spectral_cfg.n_basis
         if moments is None or size is None or size > len(moments):
-            records.append(_run_method(config, method, series, replicate))
+            records.append(_run_method(config, kind, spectral_cfg, series, replicate))
             continue
         # the build is charged once, to the first method of its size
         charge = build_seconds if size == len(moments) else 0.0
         build_seconds -= charge
-        records.append(_run_method(config, method, series, replicate, moments, charge))
+        records.append(
+            _run_method(config, kind, spectral_cfg, series, replicate, moments, charge)
+        )
     return tuple(records)
 
 
@@ -267,8 +280,11 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         nu=config.nu,
         dim=config.dim,
     )
+    parsed = tuple(map(parse_method, config.methods))
     tasks = [
-        (config, spec, n, rep) for n in config.n_list for rep in range(config.replicates)
+        (config, parsed, spec, n, rep)
+        for n in config.n_list
+        for rep in range(config.replicates)
     ]
     if config.jobs > 1 and len(tasks) > 1:
         # loaded here only: serial runs do not pay for the import
@@ -300,27 +316,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     )
 
 
-def comparison_methods(basis_sizes=(20, 40, 60), reg_rule=(5, "half", "minus5")) -> tuple:
-    """The operator method plus the spectral grid used for comparisons:
-    M in ``basis_sizes`` crossed with M_reg in {5, M/2, M-5}."""
-    methods = [OPERATOR]
-    for m in basis_sizes:
-        regs = []
-        for rule in reg_rule:
-            if rule == "half":
-                regs.append(m // 2)
-            elif rule == "minus5":
-                regs.append(m - 5)
-            else:
-                regs.append(int(rule))
-        for reg in dict.fromkeys(regs):
-            methods.append(f"{SPECTRAL_PREFIX}:{m}:{reg}")
-    return tuple(methods)
-
-
 def run_method_comparison(config: ExperimentConfig) -> ResultTable:
     """Run the operator method against the spectral grid on one scenario."""
-    return run_experiment(replace(config, methods=comparison_methods()))
+    return run_experiment(replace(config, methods=COMPARISON_METHODS))
 
 
 def success_frequencies(table: ResultTable, order: int | None = None) -> dict:

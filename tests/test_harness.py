@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 import hmmorder
 from hmmorder import harness, spectral
 from hmmorder.harness import (
+    COMPARISON_METHODS,
     ConfigError,
     ExperimentConfig,
-    comparison_methods,
     emit_table,
     parse_config_text,
     parse_method,
@@ -58,7 +59,7 @@ class TestMethods:
             parse_method("oracle")
 
     def test_comparison_grid(self):
-        methods = comparison_methods()
+        methods = COMPARISON_METHODS
         assert methods[0] == "operator"
         assert "spectral:20:5" in methods
         assert "spectral:40:20" in methods
@@ -236,12 +237,74 @@ class TestRunExperiment:
         assert high >= low
 
 
+ENTRY_POINTS = (
+    "estimate_order",
+    "estimate_order_max_univariate",
+    "OrderEstimate",
+    "ThresholdRule",
+    "BandwidthRule",
+    "KernelSpec",
+    "CustomKernel",
+    "ObservedSeries",
+    "simulate",
+    "get_scenario",
+    "shift_scenario",
+    "paper_scenarios",
+    "ExperimentConfig",
+    "ResultTable",
+    "run_experiment",
+    "run_method_comparison",
+    "emit_table",
+    "load_config",
+    "SpectralConfig",
+    "spectral_order",
+    "DatasetDescriptor",
+    "load_series",
+    "save_series",
+    "export_diagnostics",
+)
+
+# the layers behind the entry points, imported from their own modules
+DEMOTED_NAMES = [
+    (module, name)
+    for module, names in (
+        (
+            "estimator",
+            "consistency_schedule practical_threshold tail_stats theoretical_threshold",
+        ),
+        (
+            "gram",
+            "PairSelectors SingularSpectrum build_gram build_selectors "
+            "build_shifted_product estimate_operator_matrix psd_sqrt singular_spectrum",
+        ),
+        ("harness", "success_frequencies timing_report"),
+        (
+            "kernels",
+            "cross_gram cross_gram_matrix kernel_eval kernel_l2_norm_sq "
+            "select_bandwidth silverman_kappa",
+        ),
+        (
+            "quadrature",
+            "GaussianComponent GaussianPairMixture GridOperator "
+            "empirical_grid_operator quadrature_svd_oracle smoothing_bias_profile",
+        ),
+        (
+            "simulate",
+            "Beta GaussianLoc HmmSpec ShiftNoise VonMisesLoc "
+            "make_transition_nu stationary_distribution",
+        ),
+        ("spectral", "SpectralResult build_nhat scale_to_unit"),
+    )
+    for name in names.split()
+]
+
+
 class TestImports:
     def test_import_loads_no_pool_or_sparse_solver(self):
         code = (
             "import sys, hmmorder; "
-            "print([m for m in ('scipy.sparse.linalg', 'concurrent.futures') "
-            "if m in sys.modules])"
+            "print([m for m in ('hmmorder.quadrature', 'scipy.sparse.linalg', "
+            "'concurrent.futures') if m in sys.modules])"
         )
         src = str(Path(hmmorder.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -255,6 +318,12 @@ class TestImports:
             timeout=60,
         )
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(("module", "name"), DEMOTED_NAMES)
+    def test_package_exports_only_entry_points(self, module, name):
+        assert sorted(hmmorder.__all__) == sorted(ENTRY_POINTS)
+        assert name not in hmmorder.__all__ and not hasattr(hmmorder, name)
+        assert hasattr(import_module(f"hmmorder.{module}"), name)
 
 
 class TestEmitTable:
