@@ -11,14 +11,17 @@ N x N shifted product
 
 with S the pair-shift selector, has exactly the nonzero singular values
 of the empirical smoothed pair operator.  ``estimate_operator_matrix``
-returns that spectrum through the dense square root.
+returns that spectrum through the dense square root.  W and its
+square root are each one N x N array: the Gram matrix is filled by
+row blocks of its upper triangle, mirrored in place, and the symmetry
+check and symmetrisation of the square root walk the same row blocks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram_matrix
+from .kernels import KernelSpec, cross_gram_matrix, row_blocks
 from .series import ObservedSeries
 
 #: above this pair count, singular values are computed iteratively
@@ -94,13 +97,15 @@ def psd_sqrt(w: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-12 * max(1, lam_max), 0) are treated as round-off
     and clamped to zero; anything lower raises, since a genuinely
-    indefinite matrix signals a kernel or bandwidth bug.
+    indefinite matrix signals a kernel or bandwidth bug.  The symmetry
+    check and the final symmetrisation 0.5 * (m + m.T) run over blocks
+    of ``GRAM_BLOCK`` rows, so neither allocates an N x N temporary.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"matrix must be square, got {w.shape}")
-    asym = np.max(np.abs(w - w.T)) if w.size else 0.0
-    if asym > 1e-10 * max(1.0, np.max(np.abs(w))):
+    asym, w_max = _max_asymmetry(w)
+    if asym > 1e-10 * max(1.0, w_max):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     lam, q = np.linalg.eigh(w)
     lam_max = float(lam[-1]) if lam.size else 0.0
@@ -111,7 +116,27 @@ def psd_sqrt(w: np.ndarray) -> np.ndarray:
         )
     lam = np.clip(lam, 0.0, None)
     m = (q * np.sqrt(lam)) @ q.T
-    return 0.5 * (m + m.T)
+    _symmetrise(m)
+    return m
+
+
+def _max_asymmetry(w: np.ndarray):
+    """max |w - w.T| (over the upper trapezoid of each row block) and
+    max |w|, both NaN if any entry is NaN."""
+    asym = w_max = np.float64(0.0)
+    for a, b in row_blocks(w.shape[0]):
+        asym = np.maximum(asym, np.max(np.abs(w[a:b, a:] - w[a:, a:b].T)))
+        w_max = np.maximum(w_max, np.max(np.abs(w[a:b])))
+    return asym, w_max
+
+
+def _symmetrise(m: np.ndarray) -> None:
+    """m <- 0.5 * (m + m.T) in place; m_ij + m_ji == m_ji + m_ij exactly,
+    so both triangles get the same bits as the full-matrix form."""
+    for a, b in row_blocks(m.shape[0]):
+        upper = 0.5 * (m[a:b, a:] + m[a:, a:b].T)
+        m[a:b, a:] = upper
+        m[a:, a:b] = upper.T
 
 
 def build_shifted_product(gram_sqrt: np.ndarray, sel: PairSelectors) -> np.ndarray:

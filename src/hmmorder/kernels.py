@@ -7,7 +7,9 @@ cross inner product
     phi_h(a, b) = integral of K_h(z - a) * K_h(z - b) dz,
 
 which has a closed form for both families and fills the Gram matrix of
-the pair operator.  Bandwidths follow h = kappa * n**(-beta) with a
+the pair operator.  The Gram matrix is built in blocks of rows: each
+block evaluates its upper triangle only and mirrors it in place, so
+the matrix itself is the only N x N allocation.  Bandwidths follow h = kappa * n**(-beta) with a
 Silverman-style automatic kappa.
 """
 
@@ -25,6 +27,9 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 #: squared L2 norm of the standard normal density, 1/(2*sqrt(pi))
 GAUSSIAN_L2_SQ = 1.0 / (2.0 * np.sqrt(np.pi))
+
+#: rows of the Gram matrix evaluated per block by ``cross_gram_matrix``
+GRAM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -173,37 +178,88 @@ def cross_gram(spec, a, b) -> float:
 def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
     """All pairwise phi_h values for an (N, d) point array.
 
-    The result is made bit-for-bit symmetric by mirroring the upper
-    triangle.
+    The N x N result is the only N x N array allocated.  It is filled in
+    blocks of ``GRAM_BLOCK`` rows: each block evaluates the kernel on its
+    upper trapezoid ``W[a:b, a:]`` only, is checked for non-finite
+    values in row-major order, and mirrors its strictly upper entries
+    into the lower triangle in place, so the result is bit-for-bit
+    symmetric.  A CustomKernel is called once per pair i <= j.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise ValueError(f"points must be (N, {spec.dim}), got {pts.shape}")
+    n = pts.shape[0]
     if isinstance(spec, CustomKernel):
-        n = pts.shape[0]
         w = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                w[i, j] = spec.cross_gram_fn(pts[i], pts[j], spec.bandwidth)
+        fill = _custom_rows(spec, pts, w)
     elif spec.family == GAUSSIAN:
-        h = spec.bandwidth
-        sq = pts @ pts.T
-        norms = np.diag(sq).copy()
-        d2 = np.maximum(norms[:, None] + norms[None, :] - 2.0 * sq, 0.0)
-        w = (4.0 * np.pi * h * h) ** (-spec.dim / 2.0) * np.exp(-d2 / (4.0 * h * h))
+        # the one Gram of the points doubles as the output buffer
+        w = pts @ pts.T
+        fill = _gaussian_rows(spec, np.diag(w).copy(), w)
     else:
-        kap = spec.concentration
-        ang = pts[:, 0]
-        c = np.abs(np.cos(0.5 * (ang[:, None] - ang[None, :])))
-        w = _i0e(2.0 * kap * c) * np.exp(2.0 * kap * (c - 1.0))
-        w /= 2.0 * np.pi * float(_i0e(kap)) ** 2
-    if not np.all(np.isfinite(w)):
-        i, j = np.argwhere(~np.isfinite(w))[0]
-        raise FloatingPointError(
-            f"non-finite kernel value for points {i} and {j} (bandwidth {spec.bandwidth})"
-        )
-    upper = np.triu(w)
-    return upper + np.triu(w, 1).T
+        w = np.empty((n, n))
+        fill = _vonmises_rows(spec, pts[:, 0], w)
+    for a, b in row_blocks(n):
+        fill(a, b)
+        diag = w[a:b, a:b]
+        lower = np.tril_indices(b - a, -1)
+        diag[lower] = diag.T[lower]
+        bad = ~np.isfinite(w[a:b, a:])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise FloatingPointError(
+                f"non-finite kernel value for points {a + i} and {a + j} "
+                f"(bandwidth {spec.bandwidth})"
+            )
+        w[b:, a:b] = w[a:b, b:].T
+    return w
+
+
+def row_blocks(n: int):
+    """Bounds (a, b) of consecutive blocks of ``GRAM_BLOCK`` rows of an
+    N x N matrix."""
+    for a in range(0, n, GRAM_BLOCK):
+        yield a, min(a + GRAM_BLOCK, n)
+
+
+def _custom_rows(spec, pts, w):
+    """Call the user's kernel on rows a:b of ``w``, pairs i <= j only."""
+
+    def fill(a, b):
+        for i in range(a, b):
+            for j in range(i, w.shape[0]):
+                w[i, j] = spec.cross_gram_fn(pts[i], pts[j], spec.bandwidth)
+
+    return fill
+
+
+def _gaussian_rows(spec, norms, w):
+    """Turn rows a:b of the point Gram ``w`` (upper trapezoid) into
+    phi_h values in place, with the arithmetic of the full-matrix form
+    |y_i|^2 + |y_j|^2 - 2 y_i.y_j."""
+    h = spec.bandwidth
+    scale = (4.0 * np.pi * h * h) ** (-spec.dim / 2.0)
+
+    def fill(a, b):
+        blk = w[a:b, a:]
+        d2 = np.maximum(norms[a:b, None] + norms[None, a:] - 2.0 * blk, 0.0)
+        np.multiply(scale, np.exp(-d2 / (4.0 * h * h)), out=blk)
+
+    return fill
+
+
+def _vonmises_rows(spec, ang, w):
+    """Fill rows a:b of ``w`` (upper trapezoid) from the angles ``ang``."""
+    kap = spec.concentration
+    norm = 2.0 * np.pi * float(_i0e(kap)) ** 2
+
+    def fill(a, b):
+        blk = w[a:b, a:]
+        c = np.abs(np.cos(0.5 * (ang[a:b, None] - ang[None, a:])))
+        np.multiply(_i0e(2.0 * kap * c), np.exp(2.0 * kap * (c - 1.0)), out=blk)
+        blk /= norm
+
+    return fill
 
 
 def kernel_l2_norm_sq(spec) -> float:

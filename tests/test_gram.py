@@ -11,8 +11,25 @@ from hmmorder.gram import (
     psd_sqrt,
     singular_spectrum,
 )
-from hmmorder.kernels import KernelSpec, cross_gram
+from hmmorder.estimator import estimate_order
+from hmmorder.kernels import GRAM_BLOCK, KernelSpec, cross_gram, cross_gram_matrix
 from hmmorder.series import ObservedSeries
+from hmmorder.simulate import get_scenario, simulate
+
+from test_kernels import BLOCK_EDGE_SIZES, cross_gram_matrix_full
+
+
+def psd_sqrt_full(w):
+    """Reference square root: symmetry check and symmetrisation on full
+    N x N temporaries."""
+    w = np.asarray(w, dtype=float)
+    asym = np.max(np.abs(w - w.T)) if w.size else 0.0
+    if asym > 1e-10 * max(1.0, np.max(np.abs(w))):
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    lam, q = np.linalg.eigh(w)
+    lam = np.clip(lam, 0.0, None)
+    m = (q * np.sqrt(lam)) @ q.T
+    return 0.5 * (m + m.T)
 
 
 def random_series(rng, n_points, dim=1, kind="linear"):
@@ -127,6 +144,62 @@ class TestPsdSqrt:
         w = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             psd_sqrt(w)
+
+
+class TestBlockedPsdSqrt:
+    """Row-block check and symmetrisation against the full-matrix form."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("family", ["gaussian", "vonmises"])
+    def test_bit_identical_to_full_matrix(self, family, n):
+        pts = np.random.default_rng(n).uniform(0, 2 * np.pi, (n, 1))
+        w = cross_gram_matrix(KernelSpec(family, 0.5), pts)
+        m = psd_sqrt(w)
+        assert np.array_equal(m, psd_sqrt_full(w))
+        assert np.array_equal(m, m.T)
+
+    def test_exactly_symmetric_beyond_one_block(self):
+        n = 2 * GRAM_BLOCK + 3
+        a = np.random.default_rng(16).standard_normal((n, n))
+        w = a.T @ a
+        w = 0.5 * (w + w.T)
+        m = psd_sqrt(w)
+        assert np.array_equal(m, m.T)
+        assert np.array_equal(m, psd_sqrt_full(w))
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [
+            (2 * GRAM_BLOCK + 2, 2 * GRAM_BLOCK + 1),  # inside the last row block
+            (2 * GRAM_BLOCK + 2, 0),  # last row, first column
+            (GRAM_BLOCK - 1, GRAM_BLOCK),  # straddles a block boundary
+            (GRAM_BLOCK, GRAM_BLOCK - 1),
+        ],
+    )
+    def test_rejects_single_asymmetric_entry_at_block_edges(self, i, j):
+        n = 2 * GRAM_BLOCK + 3
+        w = np.eye(n)
+        w[i, j] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric") as got:
+            psd_sqrt(w)
+        with pytest.raises(ValueError) as want:
+            psd_sqrt_full(w)
+        assert str(got.value) == str(want.value)
+
+
+class TestEstimateMatchesFullMatrix:
+    @pytest.mark.parametrize("n", [50, 600])
+    @pytest.mark.parametrize("scenario", ["gauss-shift", "vm3"])
+    def test_r_values_bit_identical(self, monkeypatch, scenario, n):
+        import hmmorder.gram as gram_mod
+
+        series, _ = simulate(get_scenario(scenario), n, seed=4)
+        est = estimate_order(series)
+        monkeypatch.setattr(gram_mod, "cross_gram_matrix", cross_gram_matrix_full)
+        monkeypatch.setattr(gram_mod, "psd_sqrt", psd_sqrt_full)
+        ref = estimate_order(series)
+        assert np.array_equal(est.r_values, ref.r_values)
+        assert est.tau == ref.tau and est.l_hat == ref.l_hat
 
 
 class TestPairMatrices:

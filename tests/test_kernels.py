@@ -1,12 +1,17 @@
 """Kernel closed forms against quadrature, and bandwidth rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0e
 
 from hmmorder.kernels import (
     GAUSSIAN_L2_SQ,
+    GRAM_BLOCK,
     BandwidthRule,
+    CustomKernel,
     KernelSpec,
     cross_gram,
     cross_gram_matrix,
@@ -34,6 +39,44 @@ def quad_cross_gaussian(a, b, h):
         limit=500,
     )
     return val
+
+
+def cross_gram_matrix_full(spec, points):
+    """Reference Gram: every pairwise value evaluated on full N x N
+    arrays, then the upper triangle mirrored.  The CustomKernel buffer
+    starts zeroed, so its unevaluated lower triangle never trips the
+    finiteness check."""
+    pts = np.asarray(points, dtype=float)
+    if isinstance(spec, CustomKernel):
+        n = pts.shape[0]
+        w = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                w[i, j] = spec.cross_gram_fn(pts[i], pts[j], spec.bandwidth)
+    elif spec.family == "gaussian":
+        h = spec.bandwidth
+        sq = pts @ pts.T
+        norms = np.diag(sq).copy()
+        d2 = np.maximum(norms[:, None] + norms[None, :] - 2.0 * sq, 0.0)
+        w = (4.0 * np.pi * h * h) ** (-spec.dim / 2.0) * np.exp(-d2 / (4.0 * h * h))
+    else:
+        kap = spec.concentration
+        ang = pts[:, 0]
+        c = np.abs(np.cos(0.5 * (ang[:, None] - ang[None, :])))
+        w = i0e(2.0 * kap * c) * np.exp(2.0 * kap * (c - 1.0))
+        w /= 2.0 * np.pi * float(i0e(kap)) ** 2
+    if not np.all(np.isfinite(w)):
+        i, j = np.argwhere(~np.isfinite(w))[0]
+        raise FloatingPointError(
+            f"non-finite kernel value for points {i} and {j} (bandwidth {spec.bandwidth})"
+        )
+    upper = np.triu(w)
+    return upper + np.triu(w, 1).T
+
+
+def gaussian_cross(a, b, h):
+    d = len(a)
+    return (4 * np.pi * h * h) ** (-d / 2) * np.exp(-np.sum((a - b) ** 2) / (4 * h * h))
 
 
 def quad_cross_vonmises(a, b, h):
@@ -164,13 +207,6 @@ class TestCrossGram:
 
 
 class TestCustomKernel:
-    @staticmethod
-    def gaussian_cross(a, b, h):
-        d = len(a)
-        return (4 * np.pi * h * h) ** (-d / 2) * np.exp(
-            -np.sum((a - b) ** 2) / (4 * h * h)
-        )
-
     def test_matches_builtin_pipeline(self):
         from hmmorder.estimator import estimate_order
         from hmmorder.kernels import CustomKernel
@@ -181,7 +217,7 @@ class TestCustomKernel:
         custom = estimate_order(
             series,
             kernel=CustomKernel(
-                cross_gram_fn=self.gaussian_cross,
+                cross_gram_fn=gaussian_cross,
                 bandwidth=1.0,
                 l2_sq=GAUSSIAN_L2_SQ,
             ),
@@ -193,7 +229,7 @@ class TestCustomKernel:
     def test_l2_norm_requires_declaration(self):
         from hmmorder.kernels import CustomKernel
 
-        kernel = CustomKernel(cross_gram_fn=self.gaussian_cross, bandwidth=0.5)
+        kernel = CustomKernel(cross_gram_fn=gaussian_cross, bandwidth=0.5)
         with pytest.raises(ValueError, match="L2 norm"):
             kernel_l2_norm_sq(kernel)
 
@@ -202,11 +238,112 @@ class TestCustomKernel:
 
         rng = np.random.default_rng(50)
         pts = rng.normal(0, 1, (10, 1))
-        kernel = CustomKernel(cross_gram_fn=self.gaussian_cross, bandwidth=0.7)
+        kernel = CustomKernel(cross_gram_fn=gaussian_cross, bandwidth=0.7)
         w = cross_gram_matrix(kernel, pts)
         assert np.array_equal(w, w.T)
         ref = cross_gram_matrix(KernelSpec("gaussian", 0.7), pts)
         assert np.allclose(w, ref, rtol=1e-12)
+
+
+BLOCK_EDGE_SIZES = (1, 2, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 3)
+
+GRAM_CASES = {
+    "gaussian-d1": (KernelSpec("gaussian", 0.4), "linear"),
+    "gaussian-d2": (KernelSpec("gaussian", 0.6, dim=2), "linear"),
+    "gaussian-d3": (KernelSpec("gaussian", 0.8, dim=3), "linear"),
+    "vonmises": (KernelSpec("vonmises", 0.5), "circular"),
+    "custom": (CustomKernel(cross_gram_fn=gaussian_cross, bandwidth=0.4), "linear"),
+}
+
+
+def gram_points(rng, n, dim, kind):
+    if kind == "circular":
+        return rng.uniform(0, 2 * np.pi, (n, 1))
+    return 2.0 * rng.standard_normal((n, dim))
+
+
+class TestBlockedGram:
+    """The row-block Gram against the full-matrix reference."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_bit_identical_to_full_matrix(self, case, n):
+        spec, kind = GRAM_CASES[case]
+        pts = gram_points(np.random.default_rng(n), n, spec.dim, kind)
+        w = cross_gram_matrix(spec, pts)
+        assert w.shape == (n, n) and w.flags.c_contiguous
+        assert np.array_equal(w, cross_gram_matrix_full(spec, pts))
+        assert np.array_equal(w, w.T)
+
+    def test_custom_kernel_called_once_per_upper_pair(self):
+        calls = []
+
+        def fn(a, b, h):
+            calls.append((float(a[0]), float(b[0])))
+            return gaussian_cross(a, b, h)
+
+        n = GRAM_BLOCK + 5
+        pts = np.arange(n, dtype=float)[:, None]
+        cross_gram_matrix(CustomKernel(cross_gram_fn=fn, bandwidth=3.0), pts)
+        assert calls == [(i, j) for i in range(n) for j in range(i, n)]
+
+    def test_custom_kernel_ignores_stale_memory(self):
+        # a freed all-NaN buffer of the same size is what np.empty hands
+        # back; the unevaluated lower triangle must never be checked
+        n = 30
+        del_me = np.full((n, n), np.nan)
+        del del_me
+        pts = np.random.default_rng(7).standard_normal((n, 1))
+        kernel = CustomKernel(cross_gram_fn=gaussian_cross, bandwidth=0.5)
+        w = cross_gram_matrix(kernel, pts)
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(w, cross_gram_matrix_full(kernel, pts))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", [0, GRAM_BLOCK - 1, GRAM_BLOCK + 5, "last"])
+    @pytest.mark.parametrize("case", ["gaussian-d1", "gaussian-d2", "vonmises"])
+    def test_non_finite_point_reports_same_pair(self, case, where):
+        spec, kind = GRAM_CASES[case]
+        n = 2 * GRAM_BLOCK + 3
+        pts = gram_points(np.random.default_rng(3), n, spec.dim, kind)
+        pts[n - 1 if where == "last" else where, 0] = np.inf
+        with pytest.raises(FloatingPointError) as want:
+            cross_gram_matrix_full(spec, pts)
+        with pytest.raises(FloatingPointError) as got:
+            cross_gram_matrix(spec, pts)
+        assert str(got.value) == str(want.value)
+
+    def test_custom_non_finite_reports_first_upper_pair(self):
+        n = 2 * GRAM_BLOCK + 3
+        bad = {(GRAM_BLOCK + 2, 2 * GRAM_BLOCK), (GRAM_BLOCK - 1, GRAM_BLOCK + 1)}
+
+        def fn(a, b, h):
+            if (int(a[0]), int(b[0])) in bad:
+                return np.nan
+            return 1.0
+
+        pts = np.arange(n, dtype=float)[:, None]
+        with pytest.raises(
+            FloatingPointError,
+            match=f"points {GRAM_BLOCK - 1} and {GRAM_BLOCK + 1} ",
+        ):
+            cross_gram_matrix(CustomKernel(cross_gram_fn=fn, bandwidth=1.0), pts)
+
+    @pytest.mark.parametrize("case", ["gaussian-d1", "vonmises"])
+    def test_peak_memory_one_output_plus_blocks(self, case):
+        spec, kind = GRAM_CASES[case]
+        n = 1500
+        pts = gram_points(np.random.default_rng(11), n, spec.dim, kind)
+        cross_gram_matrix(spec, pts[:10])  # loads scipy outside the trace
+        tracemalloc.start()
+        try:
+            w = cross_gram_matrix(spec, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.nbytes == 8 * n * n
+        # the full-matrix form peaks at about six N x N arrays
+        assert peak <= w.nbytes + 8 * (8 * GRAM_BLOCK * n)
 
 
 class TestKernelNorms:
