@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .estimator import ThresholdRule, estimate_order, estimate_order_max_univariate
+from .estimator import estimate_order, estimate_order_max_univariate
 from .harness import (
     ConfigError,
     emit_table,
@@ -110,19 +110,9 @@ def _cmd_estimate(args) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     try:
-        if args.kappa == "auto":
-            kappa = None
-        else:
-            kappa = float(args.kappa)
-        if args.beta is None and kappa is not None:
-            bandwidth = BandwidthRule(
-                beta=BandwidthRule.default_for(series.dim).beta, kappa=kappa
-            )
-        elif args.beta is None:
-            bandwidth = None
-        else:
-            bandwidth = BandwidthRule(beta=args.beta, kappa=kappa)
-        threshold = None if args.tau == "auto" else ThresholdRule.explicit(float(args.tau))
+        kappa = None if args.kappa == "auto" else float(args.kappa)
+        bandwidth = BandwidthRule(beta=args.beta, kappa=kappa)
+        threshold = None if args.tau == "auto" else float(args.tau)
         if args.max_univariate:
             estimate = estimate_order_max_univariate(
                 series, kernel=args.kernel, bandwidth=bandwidth,

@@ -24,69 +24,28 @@ from .kernels import (
     BandwidthRule,
     CustomKernel,
     KernelSpec,
+    default_beta,
     kernel_l2_norm_sq,
     select_bandwidth,
 )
 from .series import CIRCULAR, ObservedSeries
 
-PRACTICAL = "practical"
-THEORETICAL = "theoretical"
-EXPLICIT = "explicit"
-
 
 @dataclass(frozen=True)
 class ThresholdRule:
-    """How to pick the cutoff applied to the tail statistics."""
+    """Constants of the theoretical threshold: overestimation level
+    ``alpha``, mixing time ``t_mix`` and the squared L2 norm of the
+    kernel (None takes it from the kernel in use)."""
 
-    mode: str = PRACTICAL
-    alpha: float | None = None
-    t_mix: float | None = None
+    alpha: float
+    t_mix: float
     kernel_l2_sq: float | None = None
-    tau: float | None = None
 
     def __post_init__(self):
-        if self.mode not in (PRACTICAL, THEORETICAL, EXPLICIT):
-            raise ValueError(f"unknown threshold mode {self.mode!r}")
-        if self.mode == THEORETICAL:
-            if self.alpha is None or self.t_mix is None:
-                raise ValueError("theoretical mode needs alpha and t_mix")
-            if not 0.0 < self.alpha < 1.0:
-                raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-            if self.t_mix < 1.0:
-                raise ValueError("t_mix must be >= 1")
-        if self.mode == EXPLICIT and not (self.tau is not None and self.tau > 0):
-            raise ValueError("explicit mode needs tau > 0")
-
-    @classmethod
-    def practical(cls) -> "ThresholdRule":
-        return cls(mode=PRACTICAL)
-
-    @classmethod
-    def theoretical(
-        cls, alpha: float, t_mix: float, kernel_l2_sq: float | None = None
-    ) -> "ThresholdRule":
-        return cls(mode=THEORETICAL, alpha=alpha, t_mix=t_mix, kernel_l2_sq=kernel_l2_sq)
-
-    @classmethod
-    def explicit(cls, tau: float) -> "ThresholdRule":
-        return cls(mode=EXPLICIT, tau=tau)
-
-    def resolve(self, n: int, h: float, d: int, kernel: KernelSpec | None = None) -> float:
-        if self.mode == EXPLICIT:
-            return float(self.tau)
-        if self.mode == PRACTICAL:
-            return practical_threshold(n, h, d)
-        l2 = self.kernel_l2_sq
-        if l2 is None:
-            if kernel is None:
-                raise ValueError("theoretical mode needs kernel_l2_sq or a kernel")
-            l2 = kernel_l2_norm_sq(kernel)
-        return theoretical_threshold(
-            ThresholdRule(mode=THEORETICAL, alpha=self.alpha, t_mix=self.t_mix, kernel_l2_sq=l2),
-            n,
-            h,
-            d,
-        )
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.t_mix < 1.0:
+            raise ValueError("t_mix must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,18 +92,21 @@ def practical_threshold(n: int, h: float, d: int) -> float:
     return n**-0.5 * h ** (-d) * 10.0 ** (1 - d)
 
 
-def theoretical_threshold(rule: ThresholdRule, n: int, h: float, d: int) -> float:
+def theoretical_threshold(
+    rule: ThresholdRule, n: int, h: float, d: int, kernel=None
+) -> float:
     """Threshold with explicit overestimation-control constants.
 
     tau = n**(-1/2) * sqrt((n+1)/n * C1) + n**(-1/2) * h**(-d) * C2 with
     C1 = 36 * ||K||_2**(4d) * ln(1/alpha) * t_mix and
-    C2 = ||K||_2**(2d) * sqrt(1 + 8 * t_mix).
+    C2 = ||K||_2**(2d) * sqrt(1 + 8 * t_mix).  ||K||_2**2 is the rule's
+    ``kernel_l2_sq``, or else that of ``kernel``.
     """
-    if rule.mode != THEORETICAL:
-        raise ValueError("rule must be in theoretical mode")
-    if rule.kernel_l2_sq is None:
-        raise ValueError("theoretical threshold needs kernel_l2_sq")
     l2_sq = rule.kernel_l2_sq
+    if l2_sq is None:
+        if kernel is None:
+            raise ValueError("theoretical threshold needs kernel_l2_sq or a kernel")
+        l2_sq = kernel_l2_norm_sq(kernel)
     c1 = 36.0 * l2_sq ** (2 * d) * math.log(1.0 / rule.alpha) * rule.t_mix
     c2 = l2_sq**d * math.sqrt(1.0 + 8.0 * rule.t_mix)
     return n**-0.5 * math.sqrt((n + 1) / n * c1) + n**-0.5 * h ** (-d) * c2
@@ -162,7 +124,7 @@ def consistency_schedule(
     if n < 2:
         raise ValueError("need n >= 2")
     if beta is None:
-        beta = BandwidthRule.default_for(d).beta
+        beta = default_beta(d)
     if not 0.0 < beta < 1.0 / (2.0 * d):
         raise ValueError(
             f"beta={beta} outside the consistency range (0, {1.0 / (2.0 * d)}) for d={d}"
@@ -179,7 +141,7 @@ def count_exceedances(r_values: np.ndarray, tau: float) -> int:
 
 def _resolve_kernel(
     series: ObservedSeries,
-    kernel: str | KernelSpec | CustomKernel | None,
+    kernel: str | CustomKernel | None,
     bandwidth: BandwidthRule | float | None,
 ):
     if isinstance(kernel, CustomKernel):
@@ -189,36 +151,45 @@ def _resolve_kernel(
             )
         if bandwidth is None:
             return kernel
-        h = (
-            select_bandwidth(bandwidth, series)
-            if isinstance(bandwidth, BandwidthRule)
-            else float(bandwidth)
-        )
-        return replace(kernel, bandwidth=h)
-    if kernel is None:
-        family = VONMISES if series.kind == CIRCULAR else GAUSSIAN
-    elif isinstance(kernel, KernelSpec):
         family = kernel.family
-        if bandwidth is None:
-            return kernel
     else:
-        family = kernel
-    if series.kind == CIRCULAR and family != VONMISES:
-        raise ValueError("circular data require the von Mises kernel")
-    if family == VONMISES and series.kind != CIRCULAR:
-        raise ValueError("the von Mises kernel requires circular data")
+        family = kernel or (VONMISES if series.kind == CIRCULAR else GAUSSIAN)
+        if family not in (GAUSSIAN, VONMISES):
+            raise ValueError(
+                f"kernel must be {GAUSSIAN!r}, {VONMISES!r}, a CustomKernel or None, "
+                f"got {kernel!r}"
+            )
+        if series.kind == CIRCULAR and family != VONMISES:
+            raise ValueError("circular data require the von Mises kernel")
+        if family == VONMISES and series.kind != CIRCULAR:
+            raise ValueError("the von Mises kernel requires circular data")
     if bandwidth is None:
-        bandwidth = BandwidthRule.default_for(series.dim, family)
+        bandwidth = BandwidthRule()
     if isinstance(bandwidth, BandwidthRule):
-        h = select_bandwidth(bandwidth, series)
+        h = select_bandwidth(bandwidth, series, family)
     else:
         h = float(bandwidth)
+    if isinstance(kernel, CustomKernel):
+        return replace(kernel, bandwidth=h)
     return KernelSpec(family=family, bandwidth=h, dim=series.dim)
+
+
+def _resolve_threshold(threshold, n: int, kernel) -> float:
+    """None: the practical rule; a ThresholdRule: the theoretical rule;
+    a positive number: that cutoff."""
+    if threshold is None:
+        return practical_threshold(n, kernel.bandwidth, kernel.dim)
+    if isinstance(threshold, ThresholdRule):
+        return theoretical_threshold(threshold, n, kernel.bandwidth, kernel.dim, kernel)
+    tau = float(threshold)
+    if not tau > 0:
+        raise ValueError(f"an explicit threshold must be > 0, got {threshold!r}")
+    return tau
 
 
 def estimate_order(
     series: ObservedSeries,
-    kernel: str | KernelSpec | None = None,
+    kernel: str | CustomKernel | None = None,
     bandwidth: BandwidthRule | float | None = None,
     threshold: ThresholdRule | float | None = None,
     l_max: int = DEFAULT_L_MAX,
@@ -229,29 +200,27 @@ def estimate_order(
     ----------
     series : ObservedSeries
         Observations; circular series require the von Mises kernel.
-    kernel : kernel family name, KernelSpec or None
+    kernel : kernel family name, CustomKernel or None
         None picks the family from the data kind (Gaussian for linear
-        data, von Mises for angles).  A KernelSpec pins the bandwidth;
-        a family name resolves the bandwidth from ``bandwidth``.
+        data, von Mises for angles).  A CustomKernel keeps its own
+        bandwidth unless ``bandwidth`` is given.
     bandwidth : BandwidthRule, float or None
-        None applies the default schedule for the dimension.
+        None is ``BandwidthRule()``, the default schedule of
+        ``select_bandwidth``; a float is the bandwidth itself.
     threshold : ThresholdRule, float or None
-        None applies the practical rule; a float is an explicit cutoff.
+        None applies the practical rule, a ThresholdRule the
+        theoretical rule, and a float > 0 is an explicit cutoff.
     l_max : int
         Number of tail statistics inspected.  If every one of them
         exceeds the threshold the estimate is flagged as truncated and
         is a lower bound.
     """
     spec = _resolve_kernel(series, kernel, bandwidth)
-    if threshold is None:
-        threshold = ThresholdRule.practical()
-    elif not isinstance(threshold, ThresholdRule):
-        threshold = ThresholdRule.explicit(float(threshold))
     n = series.n_pairs
+    tau = _resolve_threshold(threshold, n, spec)
     l_eff = min(l_max, n)
     spectrum = estimate_operator_matrix(series, spec, l_max=l_eff)
     r_values = tail_stats(spectrum, l_max=l_eff)
-    tau = threshold.resolve(n, spec.bandwidth, series.dim, spec)
     l_hat = count_exceedances(r_values, tau)
     return OrderEstimate(
         l_hat=l_hat,
@@ -268,7 +237,7 @@ def estimate_order(
 
 def estimate_order_max_univariate(
     series: ObservedSeries,
-    kernel: str | KernelSpec | None = None,
+    kernel: str | CustomKernel | None = None,
     bandwidth: BandwidthRule | float | None = None,
     threshold: ThresholdRule | float | None = None,
     l_max: int = DEFAULT_L_MAX,
@@ -276,15 +245,18 @@ def estimate_order_max_univariate(
     """Maximum of the univariate order estimates over the coordinates.
 
     Each coordinate is estimated with the univariate threshold and its
-    own automatic bandwidth scale, but with the bandwidth exponent of
-    the parent dimension, beta = 1/(4 + 2d); this matches the reference
-    experiments, where the per-coordinate exponent is inherited from
-    the multivariate design rather than reset to 1/6.
+    own automatic bandwidth scale, but a rule that leaves beta unset
+    gets the exponent of the parent dimension, beta = 1/(4 + 2d); this
+    matches the reference experiments, where the per-coordinate
+    exponent is inherited from the multivariate design rather than
+    reset to 1/6.
     """
     if series.dim < 2:
         raise ValueError("max-of-univariate estimation needs dim >= 2")
     if bandwidth is None:
-        bandwidth = BandwidthRule(beta=1.0 / (4.0 + 2.0 * series.dim), kappa=None)
+        bandwidth = BandwidthRule()
+    if isinstance(bandwidth, BandwidthRule) and bandwidth.beta is None:
+        bandwidth = replace(bandwidth, beta=default_beta(series.dim))
     per_coord = tuple(
         estimate_order(
             series.coordinate(j),

@@ -97,7 +97,8 @@ def psd_sqrt(w: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-12 * max(1, lam_max), 0) are treated as round-off
     and clamped to zero; anything lower raises, since a genuinely
-    indefinite matrix signals a kernel or bandwidth bug.  The symmetry
+    indefinite matrix signals a kernel or bandwidth bug.  A non-finite
+    entry fails the symmetry check with ``ValueError``.  The symmetry
     check and the final symmetrisation 0.5 * (m + m.T) run over blocks
     of ``GRAM_BLOCK`` rows, so neither allocates an N x N temporary.
     """
@@ -105,7 +106,8 @@ def psd_sqrt(w: np.ndarray) -> np.ndarray:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"matrix must be square, got {w.shape}")
     asym, w_max = _max_asymmetry(w)
-    if asym > 1e-10 * max(1.0, w_max):
+    # written so that a NaN asymmetry (a non-finite entry) also fails
+    if not asym <= 1e-10 * max(1.0, w_max):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     lam, q = np.linalg.eigh(w)
     lam_max = float(lam[-1]) if lam.size else 0.0

@@ -70,6 +70,14 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         for method in self.methods:
             parse_method(method)
+        # a scenario that contradicts its noise or dim fails here, so a
+        # table never carries a label its data do not have
+        try:
+            get_scenario(
+                self.scenario, noise=self.noise, delta=self.delta, nu=self.nu, dim=self.dim
+            )
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from exc
 
 
 def parse_method(method: str):
@@ -190,7 +198,7 @@ def _run_method(
     given; ``build_seconds``, the time that built it, is added to the
     record's ``seconds``.
     """
-    bandwidth = None if config.beta is None else BandwidthRule(beta=config.beta)
+    bandwidth = BandwidthRule(beta=config.beta)
     try:
         start = time.perf_counter()
         if kind == SPECTRAL_PREFIX:

@@ -9,8 +9,9 @@ cross inner product
 which has a closed form for both families and fills the Gram matrix of
 the pair operator.  The Gram matrix is built in blocks of rows: each
 block evaluates its upper triangle only and mirrors it in place, so
-the matrix itself is the only N x N allocation.  Bandwidths follow h = kappa * n**(-beta) with a
-Silverman-style automatic kappa.
+the matrix itself is the only N x N allocation.  Bandwidths follow
+h = kappa * n**(-beta); ``select_bandwidth`` alone decides the defaults
+of beta and kappa.
 """
 
 from dataclasses import dataclass
@@ -91,29 +92,18 @@ class CustomKernel:
 class BandwidthRule:
     """Bandwidth schedule h = kappa * n**(-beta).
 
-    ``kappa=None`` selects the automatic scale: Silverman's
-    0.9 * min(sd, IQR/1.34) for univariate data, 0.9 times the geometric
-    mean of the per-coordinate standard deviations for d >= 2, and 1 for
-    the von Mises kernel.  ``n`` counts consecutive pairs.
+    A constant left at ``None`` takes its default from
+    ``select_bandwidth``.  ``n`` counts consecutive pairs.
     """
 
-    beta: float
+    beta: float | None = None
     kappa: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.kappa is not None and not (np.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-
-    @classmethod
-    def default_for(cls, dim: int, family: str = GAUSSIAN) -> "BandwidthRule":
-        """The paper-style default: beta = 1/6 for d = 1 (and for the
-        von Mises kernel, with kappa = 1), beta = 1/(4 + 2d) for d >= 2."""
-        if family == VONMISES:
-            return cls(beta=1.0 / 6.0, kappa=1.0)
-        beta = 1.0 / 6.0 if dim == 1 else 1.0 / (4.0 + 2.0 * dim)
-        return cls(beta=beta, kappa=None)
+        for name in ("beta", "kappa"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_finite(u) -> np.ndarray:
@@ -299,10 +289,27 @@ def silverman_kappa(series: ObservedSeries) -> float:
     return 0.9 * float(np.prod(sds)) ** (1.0 / series.dim)
 
 
-def select_bandwidth(rule: BandwidthRule, series: ObservedSeries) -> float:
-    """Resolve a bandwidth rule against a series: h = kappa * n**(-beta)."""
+def default_beta(dim: int) -> float:
+    """The paper's bandwidth exponent for dimension d: 1/(4 + 2d)."""
+    return 1.0 / (4.0 + 2.0 * dim)
+
+
+def select_bandwidth(
+    rule: BandwidthRule, series: ObservedSeries, family: str = GAUSSIAN
+) -> float:
+    """Resolve a bandwidth rule against a series: h = kappa * n**(-beta).
+
+    The defaults are decided here: beta = ``default_beta(d)``, and kappa
+    = 1 for the von Mises kernel and ``silverman_kappa`` for any other.
+    """
     n = series.n_pairs
     if n < 1:
         raise ValueError("series has no consecutive pairs")
-    kappa = rule.kappa if rule.kappa is not None else silverman_kappa(series)
-    return kappa * n ** (-rule.beta)
+    beta = rule.beta if rule.beta is not None else default_beta(series.dim)
+    if rule.kappa is not None:
+        kappa = rule.kappa
+    elif family == VONMISES:
+        kappa = 1.0
+    else:
+        kappa = silverman_kappa(series)
+    return kappa * n ** (-beta)

@@ -325,7 +325,11 @@ def get_scenario(
     """Resolve a scenario name to a specification.
 
     Names: ``beta3``, ``gauss3``, ``vm3`` and the parameterized
-    ``gauss-shift``, ``student-shift``, ``laplace-shift``, ``exp-shift``.
+    ``gauss-shift``, ``student-shift``, ``laplace-shift``, ``exp-shift``
+    and ``shift`` (noise family from ``noise``).  A named shift scenario
+    fixes its noise family and the paper scenarios are univariate, so a
+    ``noise`` other than the default that contradicts the name, or
+    ``dim != 1`` with a paper scenario, raises ``ValueError``.
     """
     shift_names = {
         "gauss-shift": GAUSSIAN_NOISE,
@@ -334,10 +338,16 @@ def get_scenario(
         "exp-shift": EXPONENTIAL_NOISE,
     }
     if name in shift_names:
+        if noise not in (GAUSSIAN_NOISE, shift_names[name]):
+            raise ValueError(
+                f"scenario {name!r} has {shift_names[name]} noise, not {noise!r}"
+            )
         return shift_scenario(shift_names[name], delta=delta, nu=nu, dim=dim)
     if name == "shift":
         return shift_scenario(noise, delta=delta, nu=nu, dim=dim)
     if name in _PAPER_EMISSIONS:
+        if dim != 1:
+            raise ValueError(f"scenario {name!r} is univariate, got dim={dim}")
         return _paper_scenario(name, make_transition_nu(nu))
     raise KeyError(
         f"unknown scenario {name!r}; expected one of "

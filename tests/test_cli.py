@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hmmorder.cli import main
+from hmmorder.estimator import practical_threshold
 from hmmorder.seriesio import DatasetDescriptor, load_series
 
 
@@ -106,6 +107,33 @@ class TestEstimateCommand:
         out = capsys.readouterr().out
         assert "L_hat" in out
 
+    @pytest.mark.parametrize(
+        "flags, h", [([], 400 ** (-1.0 / 6.0)), (["--beta", "0.2"], 400**-0.2)]
+    )
+    def test_circular_bandwidth_has_unit_kappa(self, tmp_path, flags, h):
+        path, diag = tmp_path / "vm.txt", tmp_path / "diag.csv"
+        assert run_cli(
+            ["simulate", "--scenario", "vm3", "--n", "400", "--seed", "4",
+             "--out", str(path)]
+        ) == 0
+        code = run_cli(
+            ["estimate", "--input", str(path), "--layout", "rad",
+             "--diagnostics", str(diag), *flags]
+        )
+        assert code == 0
+        tau = float(diag.read_text().split("\n")[1].split(",")[2])
+        assert tau == practical_threshold(400, h, 1)
+
+    def test_kappa_alone_keeps_default_beta(self, gauss_shift_file, tmp_path):
+        diag = tmp_path / "diag.csv"
+        code = run_cli(
+            ["estimate", "--input", str(gauss_shift_file), "--kappa", "2",
+             "--diagnostics", str(diag)]
+        )
+        assert code == 0
+        tau = float(diag.read_text().split("\n")[1].split(",")[2])
+        assert tau == practical_threshold(2000, 2.0 * 2000 ** (-1.0 / 6.0), 1)
+
     def test_gaussian_kernel_on_angles_is_config_error(self, tmp_path):
         path = tmp_path / "vm.txt"
         assert run_cli(
@@ -151,6 +179,17 @@ class TestExperimentCommand:
     def test_bad_config_is_config_error(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text("n_list = 60\n")
+        code = run_cli(
+            ["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "text", ["scenario = gauss-shift\nnoise = laplace\n", "scenario = vm3\nd = 2\n"]
+    )
+    def test_mislabelled_scenario_is_config_error(self, tmp_path, text):
+        config = tmp_path / "exp.cfg"
+        config.write_text(text + "n_list = 60\nreplicates = 1\n")
         code = run_cli(
             ["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]
         )

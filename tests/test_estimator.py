@@ -18,9 +18,9 @@ from hmmorder.estimator import (
     theoretical_threshold,
 )
 from hmmorder.gram import SingularSpectrum
-from hmmorder.kernels import GAUSSIAN_L2_SQ
+from hmmorder.kernels import GAUSSIAN_L2_SQ, BandwidthRule, KernelSpec, kernel_l2_norm_sq
 from hmmorder.series import ObservedSeries
-from hmmorder.simulate import shift_scenario, simulate
+from hmmorder.simulate import get_scenario, shift_scenario, simulate
 
 
 def spectrum_from(sigma, frob_sq=None):
@@ -94,7 +94,7 @@ class TestPracticalThreshold:
 
 class TestTheoreticalThreshold:
     def test_worked_value(self):
-        rule = ThresholdRule.theoretical(alpha=0.05, t_mix=2.0, kernel_l2_sq=GAUSSIAN_L2_SQ)
+        rule = ThresholdRule(alpha=0.05, t_mix=2.0, kernel_l2_sq=GAUSSIAN_L2_SQ)
         tau = theoretical_threshold(rule, n=1000, h=0.3, d=1)
         # recomputed from the constant definitions:
         c1 = 36 * GAUSSIAN_L2_SQ**2 * math.log(1 / 0.05) * 2
@@ -106,23 +106,37 @@ class TestTheoreticalThreshold:
     def test_monotone_in_mixing_time(self):
         taus = [
             theoretical_threshold(
-                ThresholdRule.theoretical(0.05, t, GAUSSIAN_L2_SQ), 500, 0.4, 1
+                ThresholdRule(0.05, t, GAUSSIAN_L2_SQ), 500, 0.4, 1
             )
             for t in (1.0, 2.0, 5.0)
         ]
         assert taus[0] < taus[1] < taus[2]
 
     def test_alpha_to_one_limit(self):
-        rule = ThresholdRule.theoretical(1.0 - 1e-12, 2.0, GAUSSIAN_L2_SQ)
+        rule = ThresholdRule(1.0 - 1e-12, 2.0, GAUSSIAN_L2_SQ)
         tau = theoretical_threshold(rule, 500, 0.4, 1)
         c2 = GAUSSIAN_L2_SQ * math.sqrt(17)
         assert tau == pytest.approx(c2 / (500**0.5 * 0.4), rel=1e-5)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            ThresholdRule.theoretical(alpha=1.5, t_mix=2.0)
+            ThresholdRule(alpha=1.5, t_mix=2.0)
         with pytest.raises(ValueError):
-            ThresholdRule.theoretical(alpha=0.0, t_mix=2.0)
+            ThresholdRule(alpha=0.0, t_mix=2.0)
+
+    def test_needs_a_kernel_norm(self):
+        with pytest.raises(ValueError, match="kernel_l2_sq or a kernel"):
+            theoretical_threshold(ThresholdRule(0.05, 2.0), 500, 0.4, 1)
+
+    @pytest.mark.parametrize("scenario", ["gauss-shift", "vm3"])
+    def test_estimate_takes_the_norm_of_its_kernel(self, scenario):
+        series, _ = simulate(get_scenario(scenario), 300, seed=2)
+        est = estimate_order(series, threshold=ThresholdRule(alpha=0.05, t_mix=2.0))
+        kernel = KernelSpec(est.kernel_family, est.bandwidth)
+        rule = ThresholdRule(0.05, 2.0, kernel_l2_norm_sq(kernel))
+        assert est.tau == theoretical_threshold(rule, 300, est.bandwidth, 1)
+        assert est.l_hat == int(np.sum(est.r_values > est.tau))
+        assert est.r_values.tolist() == estimate_order(series).r_values.tolist()
 
 
 class TestConsistencySchedule:
@@ -209,6 +223,31 @@ class TestEstimateOrder:
         assert estimate.l_hat == 5
         assert estimate.truncated
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), "auto"])
+    def test_invalid_explicit_tau_rejected(self, tau):
+        series, _ = simulate(shift_scenario(delta=5.0), 50, seed=3)
+        with pytest.raises(ValueError):
+            estimate_order(series, threshold=tau)
+
+    def test_kernel_spec_not_accepted(self):
+        series, _ = simulate(shift_scenario(delta=5.0), 50, seed=3)
+        with pytest.raises(ValueError, match="CustomKernel or None"):
+            estimate_order(series, kernel=KernelSpec("gaussian", 0.5))
+
+    def test_default_bandwidth_rule(self):
+        series, _ = simulate(shift_scenario(delta=5.0), 200, seed=3)
+        default = estimate_order(series)
+        ruled = estimate_order(series, bandwidth=BandwidthRule())
+        assert ruled.bandwidth == default.bandwidth
+        assert ruled.r_values.tolist() == default.r_values.tolist()
+
+    def test_circular_beta_only_rule_keeps_unit_kappa(self):
+        # kappa = 1 for the von Mises kernel whether or not beta is set
+        series, _ = simulate(get_scenario("vm3"), 500, seed=1)
+        assert estimate_order(series).bandwidth == 500 ** (-1.0 / 6.0)
+        est = estimate_order(series, bandwidth=BandwidthRule(beta=0.2))
+        assert est.bandwidth == 500**-0.2
+
     def test_r_values_nonincreasing(self):
         series, _ = simulate(shift_scenario(delta=3.0), 300, seed=5)
         estimate = estimate_order(series)
@@ -250,6 +289,20 @@ class TestMaxUnivariate:
             assert coord.tau == pytest.approx(
                 practical_threshold(coord.n_pairs, coord.bandwidth, 1), rel=1e-12
             )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_default_bandwidth_rule(self, dim):
+        series, _ = simulate(shift_scenario(delta=5.0, dim=dim), 200, seed=24)
+        default = estimate_order_max_univariate(series)
+        ruled = estimate_order_max_univariate(series, bandwidth=BandwidthRule())
+        for a, b in zip(default.per_coordinate, ruled.per_coordinate, strict=True):
+            assert (a.bandwidth, a.tau, a.l_hat) == (b.bandwidth, b.tau, b.l_hat)
+            assert a.r_values.tolist() == b.r_values.tolist()
+        # the coordinates keep the exponent of the parent dimension
+        coord = series.coordinate(0)
+        rule = BandwidthRule(beta=1.0 / (4.0 + 2.0 * dim))
+        expected = estimate_order(coord, bandwidth=rule)
+        assert default.per_coordinate[0].bandwidth == expected.bandwidth
 
     def test_large_sample_selects_three(self):
         series, _ = simulate(shift_scenario(delta=5.0, nu=0.1, dim=2), 2000, seed=11)

@@ -145,6 +145,22 @@ class TestPsdSqrt:
         with pytest.raises(ValueError, match="symmetric"):
             psd_sqrt(w)
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 1)])
+    def test_rejects_nan(self, i, j):
+        # a NaN asymmetry compares False against any tolerance; without
+        # the NaN-aware test eigh returns an all-NaN root and no error
+        w = np.eye(3)
+        w[i, j] = w[j, i] = np.nan
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_sqrt(w)
+
+    def test_rejects_nan_beyond_one_block(self):
+        n = 2 * GRAM_BLOCK + 3
+        w = np.eye(n)
+        w[n - 1, GRAM_BLOCK] = w[GRAM_BLOCK, n - 1] = np.nan
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_sqrt(w)
+
 
 class TestBlockedPsdSqrt:
     """Row-block check and symmetrisation against the full-matrix form."""

@@ -280,7 +280,7 @@ DEMOTED_NAMES = [
         ("harness", "success_frequencies timing_report"),
         (
             "kernels",
-            "cross_gram cross_gram_matrix kernel_eval kernel_l2_norm_sq "
+            "cross_gram cross_gram_matrix default_beta kernel_eval kernel_l2_norm_sq "
             "select_bandwidth silverman_kappa",
         ),
         (
@@ -413,3 +413,36 @@ class TestConfigParsing:
     def test_beta_key(self):
         cfg = parse_config_text("scenario = gauss-shift\nbeta = 0.25\n")
         assert cfg.beta == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("scenario = gauss-shift\nnoise = laplace\n", "gaussian noise"),
+            ("scenario = beta3\nd = 2\n", "univariate"),
+            ("scenario = nope\n", "unknown scenario"),
+        ],
+    )
+    def test_scenario_mismatch_rejected(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(text)
+
+
+class TestScenarioChecks:
+    def test_mislabelled_configs_raise_at_construction(self):
+        with pytest.raises(ValueError, match="gaussian noise"):
+            small_config(noise="laplace")
+        with pytest.raises(ValueError, match="univariate"):
+            small_config(scenario="vm3", dim=2)
+
+    def test_matching_noise_keeps_its_seed_key(self):
+        config = small_config(scenario="laplace-shift", noise="laplace")
+        assert harness._data_seed(config, 60, 0) != harness._data_seed(
+            small_config(scenario="laplace-shift"), 60, 0
+        )
+        assert run_experiment(config).cells[0].noise == "laplace"
+
+    def test_vonmises_beta_keeps_unit_kappa(self):
+        table = run_experiment(
+            small_config(scenario="vm3", beta=0.2, n_list=(80,), replicates=2)
+        )
+        assert [r.bandwidth for r in table.cells[0].records] == [80**-0.2] * 2

@@ -385,11 +385,14 @@ class TestBandwidth:
         assert kappa == pytest.approx(0.9 * min(sd, iqr / 1.34), rel=1e-12)
 
     def test_vonmises_schedule(self):
-        rule = BandwidthRule.default_for(1, "vonmises")
         series = ObservedSeries.from_points(
             np.linspace(0, 6.0, 8767), kind="circular"
         )
-        assert select_bandwidth(rule, series) == pytest.approx(8766 ** (-1 / 6), rel=1e-12)
+        h = select_bandwidth(BandwidthRule(), series, "vonmises")
+        assert h == 8766 ** (-1.0 / 6.0)
+        # kappa stays 1 when only beta is set
+        h = select_bandwidth(BandwidthRule(beta=0.2), series, "vonmises")
+        assert h == 8766**-0.2
 
     def test_order_invariance(self):
         rng = np.random.default_rng(48)
@@ -405,9 +408,13 @@ class TestBandwidth:
             select_bandwidth(BandwidthRule(beta=1 / 6), series)
 
     def test_default_rules(self):
-        assert BandwidthRule.default_for(1).beta == pytest.approx(1 / 6)
-        assert BandwidthRule.default_for(2).beta == pytest.approx(1 / 8)
-        assert BandwidthRule.default_for(3).beta == pytest.approx(1 / 10)
+        rng = np.random.default_rng(49)
+        for dim, beta in ((1, 1 / 6), (2, 1 / 8), (3, 1 / 10)):
+            series = ObservedSeries.from_points(rng.normal(0, 2, (701, dim)))
+            kappa = silverman_kappa(series)
+            h = select_bandwidth(BandwidthRule(), series)
+            assert h == kappa * 700 ** (-1.0 / (4.0 + 2.0 * dim))
+            assert h == pytest.approx(kappa * 700 ** (-beta), rel=1e-15)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -418,3 +425,5 @@ class TestBandwidth:
             KernelSpec("triweight", 1.0)
         with pytest.raises(ValueError):
             BandwidthRule(beta=-0.1)
+        with pytest.raises(ValueError):
+            BandwidthRule(kappa=0.0)

@@ -328,6 +328,22 @@ class TestScenarios:
         with pytest.raises(KeyError):
             get_scenario("nope")
 
+    @pytest.mark.parametrize("name", ["beta3", "gauss3", "vm3"])
+    def test_paper_scenarios_are_univariate(self, name):
+        with pytest.raises(ValueError, match="univariate"):
+            get_scenario(name, dim=2)
+        assert get_scenario(name, dim=1).dim == 1
+
+    def test_named_shift_noise_must_agree(self):
+        with pytest.raises(ValueError, match="gaussian noise"):
+            get_scenario("gauss-shift", noise="laplace")
+        with pytest.raises(ValueError, match="laplace noise"):
+            get_scenario("laplace-shift", noise="student3")
+        # the default noise, or the scenario's own, is accepted
+        assert get_scenario("laplace-shift").emissions[0].noise == "laplace"
+        assert get_scenario("laplace-shift", noise="laplace").emissions[0].noise == "laplace"
+        assert get_scenario("shift", noise="laplace").emissions[0].noise == "laplace"
+
     def test_vonmises_emission_range(self):
         rng = np.random.default_rng(3)
         draws = VonMisesLoc(5.5, 10.0).sample(rng, 1000)
