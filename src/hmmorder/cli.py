@@ -7,7 +7,6 @@ baseline).  Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,14 +32,6 @@ from .simulate import get_scenario, simulate
 
 CONFIG_ERROR = 2
 DATA_ERROR = 3
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("HMM_ORDER_JOBS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,14 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True)
     exp.add_argument("--format", choices=("csv", "md"), default="csv")
-    exp.add_argument("--jobs", type=int, default=None)
+    exp.add_argument("--jobs", type=int, default=None,
+                     help="worker processes (default: the config's jobs)")
 
     cmp_ = sub.add_parser("compare-spectral",
                           help="operator method vs the spectral baseline grid")
     cmp_.add_argument("--config", required=True)
     cmp_.add_argument("--out", required=True)
     cmp_.add_argument("--format", choices=("csv", "md"), default="csv")
-    cmp_.add_argument("--jobs", type=int, default=None)
+    cmp_.add_argument("--jobs", type=int, default=None,
+                      help="worker processes (default: the config's jobs)")
     return parser
 
 
@@ -155,12 +148,12 @@ def _cmd_experiment(args, compare: bool) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    jobs = args.jobs if args.jobs is not None else max(config.jobs, _default_jobs())
-    try:
-        config = replace(config, jobs=jobs)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    if args.jobs is not None:
+        try:
+            config = replace(config, jobs=args.jobs)
+        except ValueError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return CONFIG_ERROR
     table = run_method_comparison(config) if compare else run_experiment(config)
     # timing is excluded so identical configurations produce identical bytes
     text = emit_table(table, fmt=args.format, include_timing=False)

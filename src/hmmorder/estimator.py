@@ -213,8 +213,10 @@ def estimate_order(
     l_max : int
         Number of tail statistics inspected.  If every one of them
         exceeds the threshold the estimate is flagged as truncated and
-        is a lower bound.
+        is a lower bound; must be >= 1.
     """
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
     spec = _resolve_kernel(series, kernel, bandwidth)
     n = series.n_pairs
     tau = _resolve_threshold(threshold, n, spec)

@@ -18,7 +18,7 @@ import numpy as np
 from .estimator import estimate_order, estimate_order_max_univariate
 from .gram import DEFAULT_L_MAX
 from .kernels import BandwidthRule
-from .simulate import GAUSSIAN_NOISE, get_scenario, simulate
+from .simulate import GAUSSIAN_NOISE, SHIFT_SCENARIOS, get_scenario, simulate
 from .spectral import SpectralConfig, moment_matrix, spectral_order
 
 OPERATOR = "operator"
@@ -26,7 +26,7 @@ OPERATOR_MAX = "operator-max"
 SPECTRAL_PREFIX = "spectral"
 
 #: the operator method against the spectral grid used for comparisons:
-#: M in {20, 40, 60} crossed with M_reg in {5, M/2, M-5}
+#: n_basis in {20, 40, 60} crossed with n_reg in {5, n_basis/2, n_basis-5}
 COMPARISON_METHODS = (
     OPERATOR,
     "spectral:20:5",
@@ -46,7 +46,12 @@ KNOWN_ORDER = 3
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scenario crossed with sample sizes and estimation methods."""
+    """One scenario crossed with sample sizes and estimation methods.
+
+    Construction rejects a value the run could not use and a noise or
+    dimension its scenario contradicts, so a bad config fails before
+    any replicate runs.
+    """
 
     scenario: str
     n_list: tuple = (1000,)
@@ -66,10 +71,17 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.l_max < 1:
+            raise ValueError("l_max must be >= 1")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        if not self.n_list or min(self.n_list) < 1:
+            raise ValueError("n_list must hold at least one n, each >= 1")
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not self.methods:
+            raise ValueError("methods must not be empty")
         for method in self.methods:
             parse_method(method)
+        BandwidthRule(beta=self.beta)  # beta must be positive and finite
         # a scenario that contradicts its noise or dim fails here, so a
         # table never carries a label its data do not have
         try:
@@ -84,7 +96,7 @@ def parse_method(method: str):
     """Split a method descriptor into an executable form.
 
     ``operator`` and ``operator-max`` take no arguments; the spectral
-    baseline is written ``spectral:<M>:<M_reg>``.
+    baseline is written ``spectral:<n_basis>:<n_reg>``.
     """
     if method in (OPERATOR, OPERATOR_MAX):
         return method, None
@@ -93,7 +105,7 @@ def parse_method(method: str):
         return SPECTRAL_PREFIX, SpectralConfig(n_basis=int(parts[1]), n_reg=int(parts[2]))
     raise ValueError(
         f"unknown method {method!r}; expected 'operator', 'operator-max' "
-        f"or 'spectral:<M>:<M_reg>'"
+        f"or 'spectral:<n_basis>:<n_reg>'"
     )
 
 
@@ -119,14 +131,9 @@ class ReplicateRecord:
 
 @dataclass(frozen=True, eq=False)
 class GridCell:
-    """All replicates of one (n, method) grid point."""
+    """All replicates of one (n, method) grid point; the scenario labels
+    are read from the config of the table that holds it."""
 
-    scenario: str
-    delta: float
-    nu: float
-    beta: float | None
-    dim: int
-    noise: str
     n: int
     method: str
     records: tuple
@@ -157,10 +164,16 @@ class GridCell:
 
 @dataclass(frozen=True, eq=False)
 class ResultTable:
+    """The configuration that ran and its grid cells, one per
+    (n, method) in ``n_list`` x ``methods`` order.  The scenario labels,
+    ``l_max`` and the grid are read from ``config``."""
+
+    config: ExperimentConfig
     cells: tuple
-    l_max: int
-    replicates: int
-    true_order: int | None = KNOWN_ORDER
+
+    @property
+    def l_max(self) -> int:
+        return self.config.l_max
 
     def cell(self, n: int, method: str) -> GridCell:
         for c in self.cells:
@@ -259,17 +272,16 @@ def _run_replicate(args) -> tuple:
     config, parsed, spec, n, replicate = args
     series, _ = simulate(spec, n, _data_seed(config, n, replicate))
     moments, build_seconds = _shared_moments(parsed, series)
+    size = 0 if moments is None else len(moments)
     records = []
     for kind, spectral_cfg in parsed:
-        size = None if kind != SPECTRAL_PREFIX else spectral_cfg.n_basis
-        if moments is None or size is None or size > len(moments):
-            records.append(_run_method(config, kind, spectral_cfg, series, replicate))
-            continue
+        fits = kind == SPECTRAL_PREFIX and spectral_cfg.n_basis <= size
         # the build is charged once, to the first method of its size
-        charge = build_seconds if size == len(moments) else 0.0
+        charge = build_seconds if fits and spectral_cfg.n_basis == size else 0.0
         build_seconds -= charge
+        shared = moments if fits else None
         records.append(
-            _run_method(config, kind, spectral_cfg, series, replicate, moments, charge)
+            _run_method(config, kind, spectral_cfg, series, replicate, shared, charge)
         )
     return tuple(records)
 
@@ -306,22 +318,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     for i, n in enumerate(config.n_list):
         rows = results[i * config.replicates : (i + 1) * config.replicates]
         for j, method in enumerate(config.methods):
-            cells.append(
-                GridCell(
-                    scenario=config.scenario,
-                    delta=config.delta,
-                    nu=config.nu,
-                    beta=config.beta,
-                    dim=config.dim,
-                    noise=config.noise,
-                    n=n,
-                    method=method,
-                    records=tuple(row[j] for row in rows),
-                )
-            )
-    return ResultTable(
-        cells=tuple(cells), l_max=config.l_max, replicates=config.replicates
-    )
+            cells.append(GridCell(n, method, tuple(row[j] for row in rows)))
+    return ResultTable(config, tuple(cells))
 
 
 def run_method_comparison(config: ExperimentConfig) -> ResultTable:
@@ -329,14 +327,13 @@ def run_method_comparison(config: ExperimentConfig) -> ResultTable:
     return run_experiment(replace(config, methods=COMPARISON_METHODS))
 
 
-def success_frequencies(table: ResultTable, order: int | None = None) -> dict:
-    """Fraction of replicates selecting the target order, per grid point."""
-    target = order if order is not None else table.true_order
+def success_frequencies(table: ResultTable, order: int = KNOWN_ORDER) -> dict:
+    """Fraction of replicates selecting ``order``, per grid point."""
     out = {}
     for cell in table.cells:
         ok = [r for r in cell.records if r.error is None]
         out[(cell.n, cell.method)] = (
-            sum(1 for r in ok if r.l_hat == target) / len(ok) if ok else float("nan")
+            sum(1 for r in ok if r.l_hat == order) / len(ok) if ok else float("nan")
         )
     return out
 
@@ -356,12 +353,29 @@ def emit_table(table: ResultTable, fmt: str = "csv", include_timing: bool = True
     """Render a result table as CSV or markdown.
 
     Columns: the grid keys, the counts of every selected order from 0 to
-    l_max, the overflow bucket, the percentage selecting the true order,
-    and (optionally) mean wall seconds.  Timing can be excluded to make
-    the output reproducible byte for byte.
+    l_max, the overflow bucket, the percentage selecting the true order
+    ``KNOWN_ORDER``, and (optionally) mean wall seconds.  Timing can be
+    excluded to make the output reproducible byte for byte.
+
+    ``noise`` names the family the data were drawn with: the ``noise``
+    of the ``shift`` scenario, the fixed family of a named ``*-shift``
+    scenario, and empty for the paper scenarios, which add no noise.
     """
     if fmt not in ("csv", "md", "markdown"):
         raise ValueError(f"unknown format {fmt!r}")
+    config = table.config
+    if config.scenario == "shift":
+        noise = config.noise
+    else:
+        noise = SHIFT_SCENARIOS.get(config.scenario, "")
+    grid = [
+        config.scenario,
+        _format_value(config.delta),
+        _format_value(config.nu),
+        _format_value(config.beta),
+        str(config.dim),
+        noise,
+    ]
     header = list(GRID_COLUMNS)
     header += [f"L{j}" for j in range(table.l_max + 1)]
     header += [f"gt_L{table.l_max}", "pct_true", "failed"]
@@ -371,18 +385,9 @@ def emit_table(table: ResultTable, fmt: str = "csv", include_timing: bool = True
     for cell in table.cells:
         counts = cell.counts(table.l_max)
         ok = sum(counts)
-        if table.true_order is not None and ok:
-            pct = 100.0 * cell.count_of(table.true_order) / ok
-            pct_str = repr(round(pct, 6))
-        else:
-            pct_str = ""
+        pct_str = repr(round(100.0 * cell.count_of(KNOWN_ORDER) / ok, 6)) if ok else ""
         row = [
-            cell.scenario,
-            _format_value(cell.delta),
-            _format_value(cell.nu),
-            _format_value(cell.beta),
-            str(cell.dim),
-            cell.noise,
+            *grid,
             str(cell.n),
             cell.method,
             *[str(c) for c in counts],
@@ -408,7 +413,8 @@ def emit_table(table: ResultTable, fmt: str = "csv", include_timing: bool = True
 def timing_report(table: ResultTable) -> dict:
     """Mean wall seconds per (n, dim, method) grid point."""
     return {
-        (cell.n, cell.dim, cell.method): cell.mean_seconds() for cell in table.cells
+        (cell.n, table.config.dim, cell.method): cell.mean_seconds()
+        for cell in table.cells
     }
 
 
@@ -416,8 +422,7 @@ def timing_report(table: ResultTable) -> dict:
 # Flat key/value configuration files
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"n_list", "method"}
-_INT_KEYS = {"d", "replicates", "base_seed", "jobs", "M", "M_reg", "l_max"}
+_INT_KEYS = {"replicates", "base_seed", "jobs", "l_max"}
 _FLOAT_KEYS = {"delta", "nu", "beta"}
 
 
@@ -429,9 +434,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` configuration.
 
     Lists are comma separated.  Recognized keys: scenario, delta, nu,
-    beta, d, n_list, noise, method, M, M_reg, replicates, base_seed,
-    jobs, l_max.  ``M``/``M_reg`` turn a bare ``spectral`` method into
-    ``spectral:M:M_reg``.
+    beta, d, n_list, noise, method, replicates, base_seed, jobs, l_max;
+    ``method`` lists ``parse_method`` descriptors.  A value that does
+    not parse, or a configuration that ``ExperimentConfig`` refuses,
+    raises ``ConfigError``.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -448,31 +454,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if "scenario" not in raw:
         raise ConfigError("missing required key 'scenario'")
     kwargs: dict = {"scenario": raw.pop("scenario")}
-    m = raw.pop("M", None)
-    m_reg = raw.pop("M_reg", None)
-    for key, value in raw.items():
-        if key == "n_list":
-            kwargs["n_list"] = tuple(int(v) for v in value.replace(",", " ").split())
-        elif key == "method":
-            kwargs["methods"] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "noise":
-            kwargs["noise"] = value
-        elif key == "d":
-            kwargs["dim"] = int(value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        else:
-            raise ConfigError(f"unknown configuration key {key!r}")
-    if m is not None:
-        reg = m_reg if m_reg is not None else max(2, int(m) // 2)
-        methods = kwargs.get("methods", (OPERATOR,))
-        kwargs["methods"] = tuple(
-            f"{SPECTRAL_PREFIX}:{int(m)}:{int(reg)}" if meth == SPECTRAL_PREFIX else meth
-            for meth in methods
-        )
     try:
+        for key, value in raw.items():
+            if key == "n_list":
+                kwargs["n_list"] = tuple(int(v) for v in value.replace(",", " ").split())
+            elif key == "method":
+                kwargs["methods"] = tuple(v.strip() for v in value.split(",") if v.strip())
+            elif key == "noise":
+                kwargs["noise"] = value
+            elif key == "d":
+                kwargs["dim"] = int(value)
+            elif key in _INT_KEYS:
+                kwargs[key] = int(value)
+            elif key in _FLOAT_KEYS:
+                kwargs[key] = float(value)
+            else:
+                raise ConfigError(f"unknown configuration key {key!r}")
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -26,6 +26,14 @@ EXPONENTIAL_NOISE = "exponential"
 
 NOISE_FAMILIES = (GAUSSIAN_NOISE, STUDENT3_NOISE, LAPLACE_NOISE, EXPONENTIAL_NOISE)
 
+#: the noise family each named shift scenario fixes
+SHIFT_SCENARIOS = {
+    "gauss-shift": GAUSSIAN_NOISE,
+    "student-shift": STUDENT3_NOISE,
+    "laplace-shift": LAPLACE_NOISE,
+    "exp-shift": EXPONENTIAL_NOISE,
+}
+
 
 @dataclass(frozen=True)
 class ShiftNoise:
@@ -327,29 +335,26 @@ def get_scenario(
     Names: ``beta3``, ``gauss3``, ``vm3`` and the parameterized
     ``gauss-shift``, ``student-shift``, ``laplace-shift``, ``exp-shift``
     and ``shift`` (noise family from ``noise``).  A named shift scenario
-    fixes its noise family and the paper scenarios are univariate, so a
-    ``noise`` other than the default that contradicts the name, or
-    ``dim != 1`` with a paper scenario, raises ``ValueError``.
+    fixes its noise family, and the paper scenarios are univariate and
+    add no noise, so a ``noise`` other than the default that contradicts
+    the name, or ``dim != 1`` with a paper scenario, raises
+    ``ValueError``.
     """
-    shift_names = {
-        "gauss-shift": GAUSSIAN_NOISE,
-        "student-shift": STUDENT3_NOISE,
-        "laplace-shift": LAPLACE_NOISE,
-        "exp-shift": EXPONENTIAL_NOISE,
-    }
-    if name in shift_names:
-        if noise not in (GAUSSIAN_NOISE, shift_names[name]):
+    if name in SHIFT_SCENARIOS:
+        if noise not in (GAUSSIAN_NOISE, SHIFT_SCENARIOS[name]):
             raise ValueError(
-                f"scenario {name!r} has {shift_names[name]} noise, not {noise!r}"
+                f"scenario {name!r} has {SHIFT_SCENARIOS[name]} noise, not {noise!r}"
             )
-        return shift_scenario(shift_names[name], delta=delta, nu=nu, dim=dim)
+        return shift_scenario(SHIFT_SCENARIOS[name], delta=delta, nu=nu, dim=dim)
     if name == "shift":
         return shift_scenario(noise, delta=delta, nu=nu, dim=dim)
     if name in _PAPER_EMISSIONS:
+        if noise != GAUSSIAN_NOISE:
+            raise ValueError(f"scenario {name!r} has no noise family, got noise={noise!r}")
         if dim != 1:
             raise ValueError(f"scenario {name!r} is univariate, got dim={dim}")
         return _paper_scenario(name, make_transition_nu(nu))
     raise KeyError(
         f"unknown scenario {name!r}; expected one of "
-        f"{sorted(_PAPER_EMISSIONS) + sorted(shift_names) + ['shift']}"
+        f"{sorted(_PAPER_EMISSIONS) + sorted(SHIFT_SCENARIOS) + ['shift']}"
     )

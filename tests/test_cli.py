@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from hmmorder import cli
 from hmmorder.cli import main
 from hmmorder.estimator import practical_threshold
+from hmmorder.harness import ResultTable
 from hmmorder.seriesio import DatasetDescriptor, load_series
 
 
@@ -134,6 +136,11 @@ class TestEstimateCommand:
         tau = float(diag.read_text().split("\n")[1].split(",")[2])
         assert tau == practical_threshold(2000, 2.0 * 2000 ** (-1.0 / 6.0), 1)
 
+    def test_zero_lmax_is_config_error(self, gauss_shift_file, capsys):
+        code = run_cli(["estimate", "--input", str(gauss_shift_file), "--lmax", "0"])
+        assert code == 2
+        assert "l_max must be >= 1" in capsys.readouterr().err
+
     def test_gaussian_kernel_on_angles_is_config_error(self, tmp_path):
         path = tmp_path / "vm.txt"
         assert run_cli(
@@ -185,7 +192,12 @@ class TestExperimentCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "text", ["scenario = gauss-shift\nnoise = laplace\n", "scenario = vm3\nd = 2\n"]
+        "text",
+        [
+            "scenario = gauss-shift\nnoise = laplace\n",
+            "scenario = vm3\nd = 2\n",
+            "scenario = beta3\nnoise = laplace\n",
+        ],
     )
     def test_mislabelled_scenario_is_config_error(self, tmp_path, text):
         config = tmp_path / "exp.cfg"
@@ -202,13 +214,44 @@ class TestExperimentCommand:
         )
         assert code == 3
 
-    def test_jobs_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HMM_ORDER_JOBS", "2")
+    @pytest.mark.parametrize("flags, jobs", [([], 3), (["--jobs", "2"], 2)])
+    def test_jobs_flag_overrides_config(self, tmp_path, monkeypatch, flags, jobs):
+        seen = []
+
+        def fake_run_experiment(config):
+            seen.append(config)
+            return ResultTable(config=config, cells=())
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
         config = tmp_path / "exp.cfg"
-        config.write_text("scenario = gauss-shift\nn_list = 60\nreplicates = 2\n")
-        out = tmp_path / "env.csv"
-        assert run_cli(["experiment", "--config", str(config), "--out", str(out)]) == 0
-        assert out.exists()
+        config.write_text("scenario = gauss-shift\nn_list = 60\njobs = 3\n")
+        out = tmp_path / "o.csv"
+        assert run_cli(
+            ["experiment", "--config", str(config), "--out", str(out), *flags]
+        ) == 0
+        assert [c.jobs for c in seen] == [jobs]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "beta = -1",
+            "beta = 0",
+            "n_list = 0",
+            "n_list =",
+            "l_max = 0",
+            "method =",
+            "n_list = sixty",
+            "beta = steep",
+        ],
+    )
+    def test_invalid_config_is_config_error(self, tmp_path, line):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"scenario = gauss-shift\nreplicates = 1\n{line}\n")
+        code = run_cli(
+            ["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == 2
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestCompareSpectral:

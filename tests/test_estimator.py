@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmmorder import estimator as estimator_module
 from hmmorder.estimator import (
     ThresholdRule,
     consistency_schedule,
@@ -228,6 +229,21 @@ class TestEstimateOrder:
         series, _ = simulate(shift_scenario(delta=5.0), 50, seed=3)
         with pytest.raises(ValueError):
             estimate_order(series, threshold=tau)
+
+    @pytest.mark.parametrize("estimator", [estimate_order, estimate_order_max_univariate])
+    @pytest.mark.parametrize("l_max", [0, -1])
+    def test_nonpositive_lmax_rejected_before_gram_work(
+        self, monkeypatch, estimator, l_max
+    ):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("the operator matrix was built")
+
+        monkeypatch.setattr(estimator_module, "estimate_operator_matrix", no_gram)
+        series, _ = simulate(shift_scenario(delta=5.0, dim=2), 50, seed=3)
+        if estimator is estimate_order:
+            series = series.coordinate(0)
+        with pytest.raises(ValueError, match="l_max must be >= 1"):
+            estimator(series, l_max=l_max)
 
     def test_kernel_spec_not_accepted(self):
         series, _ = simulate(shift_scenario(delta=5.0), 50, seed=3)

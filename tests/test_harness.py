@@ -14,8 +14,10 @@ import hmmorder
 from hmmorder import harness, spectral
 from hmmorder.harness import (
     COMPARISON_METHODS,
+    GRID_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    ResultTable,
     emit_table,
     parse_config_text,
     parse_method,
@@ -205,6 +207,18 @@ class TestRunExperiment:
         freqs = success_frequencies(table, order=3)
         assert set(freqs) == {(60, "operator")}
         assert 0.0 <= freqs[(60, "operator")] <= 1.0
+        assert success_frequencies(table) == freqs  # KNOWN_ORDER is 3
+
+    def test_table_reads_grid_from_its_config(self):
+        config = small_config(n_list=(60, 80), methods=("operator", "spectral:10:5"))
+        table = run_experiment(config)
+        assert table.config is config and table.l_max == config.l_max
+        assert [(c.n, c.method) for c in table.cells] == [
+            (n, m) for n in config.n_list for m in config.methods
+        ]
+        assert harness.run_method_comparison(
+            small_config(scenario="beta3", replicates=1)
+        ).config.methods == COMPARISON_METHODS
 
     def test_timing_report_nonnegative(self):
         table = run_experiment(small_config())
@@ -328,9 +342,7 @@ class TestImports:
 
 class TestEmitTable:
     def test_empty_table_has_header_only(self):
-        from hmmorder.harness import ResultTable
-
-        text = emit_table(ResultTable(cells=(), l_max=3, replicates=0))
+        text = emit_table(ResultTable(config=small_config(l_max=3), cells=()))
         lines = text.strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("scenario,delta,nu,beta,d,noise,n,method,L0,L1")
@@ -392,11 +404,10 @@ class TestConfigParsing:
         assert cfg.base_seed == 42
         assert cfg.jobs == 2
 
-    def test_bare_spectral_expanded_by_m_keys(self):
-        cfg = parse_config_text(
-            "scenario = beta3\nn_list = 100\nmethod = spectral\nM = 20\nM_reg = 5\n"
-        )
-        assert cfg.methods == ("spectral:20:5",)
+    def test_m_key_is_unknown(self):
+        # the basis size is spelled only in the method, spectral:<n_basis>:<n_reg>
+        with pytest.raises(ConfigError, match="unknown configuration key 'M'"):
+            parse_config_text("scenario = beta3\nmethod = spectral:20:5\nM = 20\n")
 
     def test_missing_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -419,6 +430,7 @@ class TestConfigParsing:
         [
             ("scenario = gauss-shift\nnoise = laplace\n", "gaussian noise"),
             ("scenario = beta3\nd = 2\n", "univariate"),
+            ("scenario = vm3\nnoise = laplace\n", "no noise family"),
             ("scenario = nope\n", "unknown scenario"),
         ],
     )
@@ -433,13 +445,55 @@ class TestScenarioChecks:
             small_config(noise="laplace")
         with pytest.raises(ValueError, match="univariate"):
             small_config(scenario="vm3", dim=2)
+        with pytest.raises(ValueError, match="no noise family"):
+            small_config(scenario="beta3", noise="laplace")
 
     def test_matching_noise_keeps_its_seed_key(self):
         config = small_config(scenario="laplace-shift", noise="laplace")
         assert harness._data_seed(config, 60, 0) != harness._data_seed(
             small_config(scenario="laplace-shift"), 60, 0
         )
-        assert run_experiment(config).cells[0].noise == "laplace"
+        row = emit_table(run_experiment(config)).split("\n")[1].split(",")
+        assert row[GRID_COLUMNS.index("noise")] == "laplace"
+
+    @pytest.mark.parametrize(
+        "scenario, noise, label",
+        [
+            ("laplace-shift", "gaussian", "laplace"),
+            ("exp-shift", "gaussian", "exponential"),
+            ("gauss-shift", "gaussian", "gaussian"),
+            ("shift", "student3", "student3"),
+            ("beta3", "gaussian", ""),
+            ("gauss3", "gaussian", ""),
+            ("vm3", "gaussian", ""),
+        ],
+    )
+    def test_noise_column_names_the_drawn_family(self, scenario, noise, label):
+        # the label is the family of the emissions the data are drawn from
+        spec = get_scenario(scenario, noise=noise)
+        assert {getattr(e, "noise", "") for e in spec.emissions} == {label}
+        config = small_config(scenario=scenario, noise=noise)
+        cells = (harness.GridCell(60, "operator", ()),)
+        row = emit_table(ResultTable(config=config, cells=cells)).split("\n")[1]
+        assert row.split(",")[GRID_COLUMNS.index("noise")] == label
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(beta=-1.0), "beta must be positive"),
+            (dict(beta=0.0), "beta must be positive"),
+            (dict(beta=float("inf")), "beta must be positive"),
+            (dict(beta=float("nan")), "beta must be positive"),
+            (dict(beta=-1.0, methods=("spectral:10:5",)), "beta must be positive"),
+            (dict(n_list=()), "n_list"),
+            (dict(n_list=(60, 0)), "n_list"),
+            (dict(l_max=0), "l_max must be >= 1"),
+            (dict(methods=()), "methods must not be empty"),
+        ],
+    )
+    def test_invalid_config_rejected_at_construction(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides)
 
     def test_vonmises_beta_keeps_unit_kappa(self):
         table = run_experiment(
