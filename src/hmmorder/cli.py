@@ -19,7 +19,8 @@ from .harness import (
     run_experiment,
     run_method_comparison,
 )
-from .kernels import GAUSSIAN, VONMISES, BandwidthRule
+from .gram import DEFAULT_L_MAX
+from .kernels import BandwidthRule
 from .seriesio import (
     LAYOUTS,
     DataError,
@@ -45,15 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True, help="data file path")
     est.add_argument("--layout", choices=LAYOUTS, default="columns")
     est.add_argument("--dim", type=int, default=1)
-    est.add_argument("--kernel", choices=(GAUSSIAN, VONMISES), default=None,
-                     help="default: gaussian for linear data, vonmises for angles")
     est.add_argument("--beta", type=float, default=None,
                      help="bandwidth exponent (default per dimension)")
     est.add_argument("--kappa", default="auto",
                      help="bandwidth scale: 'auto' or a positive number")
     est.add_argument("--tau", default="auto",
                      help="threshold: 'auto' (practical rule) or a positive number")
-    est.add_argument("--lmax", type=int, default=10)
+    est.add_argument("--lmax", type=int, default=DEFAULT_L_MAX)
     est.add_argument("--stride", type=int, default=1,
                      help="keep every k-th observation before pairing")
     est.add_argument("--max-univariate", action="store_true",
@@ -108,13 +107,11 @@ def _cmd_estimate(args) -> int:
         threshold = None if args.tau == "auto" else float(args.tau)
         if args.max_univariate:
             estimate = estimate_order_max_univariate(
-                series, kernel=args.kernel, bandwidth=bandwidth,
-                threshold=threshold, l_max=args.lmax,
+                series, bandwidth=bandwidth, threshold=threshold, l_max=args.lmax
             )
         else:
             estimate = estimate_order(
-                series, kernel=args.kernel, bandwidth=bandwidth,
-                threshold=threshold, l_max=args.lmax,
+                series, bandwidth=bandwidth, threshold=threshold, l_max=args.lmax
             )
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -8,8 +8,8 @@ statistics
 
 exceeding a threshold tau.  The default tau is the sample-size driven
 rule n**(-1/2) * h**(-d) * 10**(1-d); a theoretical rule with explicit
-constants (kernel norm, overestimation level alpha, mixing time) is
-also provided.
+constants (overestimation level alpha, mixing time, and the norm of
+the kernel in use) is also provided.
 """
 
 import math
@@ -34,12 +34,11 @@ from .series import CIRCULAR, ObservedSeries
 @dataclass(frozen=True)
 class ThresholdRule:
     """Constants of the theoretical threshold: overestimation level
-    ``alpha``, mixing time ``t_mix`` and the squared L2 norm of the
-    kernel (None takes it from the kernel in use)."""
+    ``alpha`` and mixing time ``t_mix``.  The kernel norm comes from
+    the kernel in use."""
 
     alpha: float
     t_mix: float
-    kernel_l2_sq: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -92,21 +91,17 @@ def practical_threshold(n: int, h: float, d: int) -> float:
     return n**-0.5 * h ** (-d) * 10.0 ** (1 - d)
 
 
-def theoretical_threshold(
-    rule: ThresholdRule, n: int, h: float, d: int, kernel=None
-) -> float:
+def theoretical_threshold(rule: ThresholdRule, n: int, kernel) -> float:
     """Threshold with explicit overestimation-control constants.
 
     tau = n**(-1/2) * sqrt((n+1)/n * C1) + n**(-1/2) * h**(-d) * C2 with
     C1 = 36 * ||K||_2**(4d) * ln(1/alpha) * t_mix and
-    C2 = ||K||_2**(2d) * sqrt(1 + 8 * t_mix).  ||K||_2**2 is the rule's
-    ``kernel_l2_sq``, or else that of ``kernel``.
+    C2 = ||K||_2**(2d) * sqrt(1 + 8 * t_mix).  h and d are the
+    ``bandwidth`` and ``dim`` of ``kernel`` (a KernelSpec or a
+    CustomKernel), and ||K||_2**2 is ``kernel_l2_norm_sq(kernel)``.
     """
-    l2_sq = rule.kernel_l2_sq
-    if l2_sq is None:
-        if kernel is None:
-            raise ValueError("theoretical threshold needs kernel_l2_sq or a kernel")
-        l2_sq = kernel_l2_norm_sq(kernel)
+    h, d = kernel.bandwidth, kernel.dim
+    l2_sq = kernel_l2_norm_sq(kernel)
     c1 = 36.0 * l2_sq ** (2 * d) * math.log(1.0 / rule.alpha) * rule.t_mix
     c2 = l2_sq**d * math.sqrt(1.0 + 8.0 * rule.t_mix)
     return n**-0.5 * math.sqrt((n + 1) / n * c1) + n**-0.5 * h ** (-d) * c2
@@ -141,36 +136,30 @@ def count_exceedances(r_values: np.ndarray, tau: float) -> int:
 
 def _resolve_kernel(
     series: ObservedSeries,
-    kernel: str | CustomKernel | None,
+    kernel: CustomKernel | None,
     bandwidth: BandwidthRule | float | None,
 ):
-    if isinstance(kernel, CustomKernel):
+    """The kernel an estimate runs with.  The data kind alone picks the
+    built-in family: von Mises for a circular series, Gaussian
+    otherwise."""
+    if kernel is not None:
+        if not isinstance(kernel, CustomKernel):
+            raise ValueError(f"kernel must be a CustomKernel or None, got {kernel!r}")
         if kernel.dim != series.dim:
             raise ValueError(
                 f"kernel dimension {kernel.dim} does not match series ({series.dim})"
             )
         if bandwidth is None:
             return kernel
-        family = kernel.family
-    else:
-        family = kernel or (VONMISES if series.kind == CIRCULAR else GAUSSIAN)
-        if family not in (GAUSSIAN, VONMISES):
-            raise ValueError(
-                f"kernel must be {GAUSSIAN!r}, {VONMISES!r}, a CustomKernel or None, "
-                f"got {kernel!r}"
-            )
-        if series.kind == CIRCULAR and family != VONMISES:
-            raise ValueError("circular data require the von Mises kernel")
-        if family == VONMISES and series.kind != CIRCULAR:
-            raise ValueError("the von Mises kernel requires circular data")
     if bandwidth is None:
         bandwidth = BandwidthRule()
     if isinstance(bandwidth, BandwidthRule):
-        h = select_bandwidth(bandwidth, series, family)
+        h = select_bandwidth(bandwidth, series)
     else:
         h = float(bandwidth)
-    if isinstance(kernel, CustomKernel):
+    if kernel is not None:
         return replace(kernel, bandwidth=h)
+    family = VONMISES if series.kind == CIRCULAR else GAUSSIAN
     return KernelSpec(family=family, bandwidth=h, dim=series.dim)
 
 
@@ -180,7 +169,7 @@ def _resolve_threshold(threshold, n: int, kernel) -> float:
     if threshold is None:
         return practical_threshold(n, kernel.bandwidth, kernel.dim)
     if isinstance(threshold, ThresholdRule):
-        return theoretical_threshold(threshold, n, kernel.bandwidth, kernel.dim, kernel)
+        return theoretical_threshold(threshold, n, kernel)
     tau = float(threshold)
     if not tau > 0:
         raise ValueError(f"an explicit threshold must be > 0, got {threshold!r}")
@@ -189,7 +178,7 @@ def _resolve_threshold(threshold, n: int, kernel) -> float:
 
 def estimate_order(
     series: ObservedSeries,
-    kernel: str | CustomKernel | None = None,
+    kernel: CustomKernel | None = None,
     bandwidth: BandwidthRule | float | None = None,
     threshold: ThresholdRule | float | None = None,
     l_max: int = DEFAULT_L_MAX,
@@ -199,17 +188,20 @@ def estimate_order(
     Parameters
     ----------
     series : ObservedSeries
-        Observations; circular series require the von Mises kernel.
-    kernel : kernel family name, CustomKernel or None
-        None picks the family from the data kind (Gaussian for linear
-        data, von Mises for angles).  A CustomKernel keeps its own
-        bandwidth unless ``bandwidth`` is given.
+        Observations, linear or circular.
+    kernel : CustomKernel or None
+        None is the built-in kernel of the data kind: von Mises for a
+        circular series, Gaussian otherwise.  A CustomKernel keeps its
+        own bandwidth unless ``bandwidth`` is given.  Any other value
+        raises ``ValueError``.
     bandwidth : BandwidthRule, float or None
         None is ``BandwidthRule()``, the default schedule of
-        ``select_bandwidth``; a float is the bandwidth itself.
+        ``select_bandwidth``, whose scale depends on the data kind
+        only; a float is the bandwidth itself.
     threshold : ThresholdRule, float or None
         None applies the practical rule, a ThresholdRule the
-        theoretical rule, and a float > 0 is an explicit cutoff.
+        theoretical rule with the norm of the kernel in use, and a
+        float > 0 is an explicit cutoff.
     l_max : int
         Number of tail statistics inspected.  If every one of them
         exceeds the threshold the estimate is flagged as truncated and
@@ -239,7 +231,7 @@ def estimate_order(
 
 def estimate_order_max_univariate(
     series: ObservedSeries,
-    kernel: str | CustomKernel | None = None,
+    kernel: CustomKernel | None = None,
     bandwidth: BandwidthRule | float | None = None,
     threshold: ThresholdRule | float | None = None,
     l_max: int = DEFAULT_L_MAX,

@@ -187,10 +187,14 @@ def _data_seed(config: ExperimentConfig, n: int, replicate: int) -> int:
 
     The method is deliberately excluded: the path is simulated once and
     every method runs on that one series, which pairs the comparisons.
+    A named shift scenario draws its own noise family whether or not
+    the config spells it, so its key always carries the default noise
+    spelling and both spellings simulate the same replicates.
     """
+    noise = GAUSSIAN_NOISE if config.scenario in SHIFT_SCENARIOS else config.noise
     key = (
         f"{config.scenario}|delta={config.delta!r}|nu={config.nu!r}"
-        f"|dim={config.dim}|noise={config.noise}|n={n}"
+        f"|dim={config.dim}|noise={noise}|n={n}"
     )
     return (config.base_seed + replicate + zlib.crc32(key.encode())) % 2**63
 
@@ -350,7 +354,7 @@ def _format_value(value) -> str:
 
 
 def emit_table(table: ResultTable, fmt: str = "csv", include_timing: bool = True) -> str:
-    """Render a result table as CSV or markdown.
+    """Render a result table as CSV (``fmt="csv"``) or markdown (``"md"``).
 
     Columns: the grid keys, the counts of every selected order from 0 to
     l_max, the overflow bucket, the percentage selecting the true order
@@ -361,7 +365,7 @@ def emit_table(table: ResultTable, fmt: str = "csv", include_timing: bool = True
     of the ``shift`` scenario, the fixed family of a named ``*-shift``
     scenario, and empty for the paper scenarios, which add no noise.
     """
-    if fmt not in ("csv", "md", "markdown"):
+    if fmt not in ("csv", "md"):
         raise ValueError(f"unknown format {fmt!r}")
     config = table.config
     if config.scenario == "shift":
@@ -433,6 +437,9 @@ class ConfigError(ValueError):
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` configuration.
 
+    Each line is split at its first ``=``; a line without one is a
+    ``ConfigError``, so ``key: value`` is refused while a value such as
+    ``spectral:20:10`` keeps its colons.  ``#`` starts a comment.
     Lists are comma separated.  Recognized keys: scenario, delta, nu,
     beta, d, n_list, noise, method, replicates, base_seed, jobs, l_max;
     ``method`` lists ``parse_method`` descriptors.  A value that does
@@ -444,11 +451,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" in stripped:
-            key, _, value = stripped.partition("=")
-        elif ":" in stripped:
-            key, _, value = stripped.partition(":")
-        else:
+        key, sep, value = stripped.partition("=")
+        if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         raw[key.strip()] = value.strip()
     if "scenario" not in raw:

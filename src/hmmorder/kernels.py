@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import ObservedSeries
+from .series import CIRCULAR, ObservedSeries
 
 GAUSSIAN = "gaussian"
 VONMISES = "vonmises"
@@ -294,13 +294,14 @@ def default_beta(dim: int) -> float:
     return 1.0 / (4.0 + 2.0 * dim)
 
 
-def select_bandwidth(
-    rule: BandwidthRule, series: ObservedSeries, family: str = GAUSSIAN
-) -> float:
+def select_bandwidth(rule: BandwidthRule, series: ObservedSeries) -> float:
     """Resolve a bandwidth rule against a series: h = kappa * n**(-beta).
 
-    The defaults are decided here: beta = ``default_beta(d)``, and kappa
-    = 1 for the von Mises kernel and ``silverman_kappa`` for any other.
+    The defaults are decided here, from the series alone: beta =
+    ``default_beta(d)``, and kappa = 1 for a circular series and
+    ``silverman_kappa`` otherwise, whatever the kernel.  Silverman's
+    rule is not rotation invariant on angles, so a circular series
+    never uses it.
     """
     n = series.n_pairs
     if n < 1:
@@ -308,7 +309,7 @@ def select_bandwidth(
     beta = rule.beta if rule.beta is not None else default_beta(series.dim)
     if rule.kappa is not None:
         kappa = rule.kappa
-    elif family == VONMISES:
+    elif series.kind == CIRCULAR:
         kappa = 1.0
     else:
         kappa = silverman_kappa(series)

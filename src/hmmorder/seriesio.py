@@ -2,9 +2,10 @@
 
 The on-disk format is one observation per line with ``d`` numeric
 columns, whitespace- or comma-separated.  Multi-sequence files carry a
-leading integer sequence-id column; rows are grouped by id in order of
-appearance.  Angle layouts hold one angle per line, in degrees or
-radians, and are converted to radians in [0, 2*pi) on load.
+leading integer sequence-id column followed by ``d`` value columns;
+rows are grouped by id in order of appearance.  Angle layouts hold one
+angle per line, in degrees or radians, and are converted to radians in
+[0, 2*pi) on load.  Every layout reads exactly ``d`` value columns.
 """
 
 from dataclasses import dataclass
@@ -43,6 +44,8 @@ class DatasetDescriptor:
             raise ValueError("stride must be >= 1")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.layout in (ANGLES_DEGREES, ANGLES_RADIANS) and self.dim != 1:
+            raise ValueError(f"angle layouts are univariate, got dim={self.dim}")
 
 
 def _parse_rows(path: Path) -> list:
@@ -77,8 +80,11 @@ def load_series(desc: DatasetDescriptor) -> ObservedSeries:
 
     if desc.layout == MULTI_SEQUENCE:
         width = len(rows[0][1])
-        if width < 2:
-            raise DataError(f"{path}:{rows[0][0]}: multi-sequence rows need an id column")
+        if width != desc.dim + 1:
+            raise DataError(
+                f"{path}:{rows[0][0]}: multi-sequence rows need an id column and "
+                f"{desc.dim} value columns, found {width} fields"
+            )
         groups: dict[int, list] = {}
         order = []
         for lineno, fields in rows:

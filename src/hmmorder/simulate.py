@@ -151,25 +151,23 @@ class HmmSpec:
         )
 
 
-def make_transition_nu(nu: float, n_states: int = 3) -> np.ndarray:
-    """Symmetric transition matrix with off-diagonal rate ``nu``.
+def make_transition_nu(nu: float) -> np.ndarray:
+    """Three-state symmetric transition matrix with off-diagonal rate
+    ``nu`` and diagonal 1 - 2*nu.
 
-    For three states the diagonal equals 1 - 2*nu.  At nu = 0 all states
-    are absorbing and at nu = 1/n_states the matrix is singular (the
-    chain becomes an iid sequence); both make the order unidentifiable,
-    so a warning is emitted.
+    At nu = 0 all states are absorbing and at nu = 1/3 the matrix is
+    singular (the chain becomes an iid sequence); both make the order
+    unidentifiable, so the first is refused and the second warns.
     """
-    if not 0.0 < nu < 1.0 / (n_states - 1):
-        raise ValueError(
-            f"nu must lie in (0, {1.0 / (n_states - 1)}) for {n_states} states"
-        )
-    if abs(nu - 1.0 / n_states) < 1e-12:
+    if not 0.0 < nu < 0.5:
+        raise ValueError(f"nu must lie in (0, 0.5) for 3 states, got {nu}")
+    if abs(nu - 1.0 / 3) < 1e-12:
         warnings.warn(
-            "nu = 1/L makes the transition matrix singular; the model is not identifiable",
+            "nu = 1/3 makes the transition matrix singular; the model is not identifiable",
             stacklevel=2,
         )
-    a = np.full((n_states, n_states), nu)
-    np.fill_diagonal(a, 1.0 - (n_states - 1) * nu)
+    a = np.full((3, 3), nu)
+    np.fill_diagonal(a, 1.0 - 2 * nu)
     return a
 
 
@@ -247,9 +245,7 @@ def _walk(cum: np.ndarray, u: np.ndarray, start: int) -> np.ndarray:
     return states
 
 
-def simulate(
-    spec: HmmSpec, n_pairs: int, seed: int | np.random.Generator
-) -> tuple[ObservedSeries, np.ndarray]:
+def simulate(spec: HmmSpec, n_pairs: int, seed: int) -> tuple[ObservedSeries, np.ndarray]:
     """Draw one stationary path of n_pairs + 1 observations.
 
     The first state follows the stationary law, transitions follow the
@@ -259,7 +255,7 @@ def simulate(
     """
     if n_pairs < 1:
         raise ValueError("need n_pairs >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n_obs = n_pairs + 1
     # Rounding can leave a cumulative sum just below 1; a uniform above
     # it would then select a state past the last one.

@@ -6,9 +6,9 @@ form the moment matrix
     N[k, l] = (1/n) * sum_t phi_k(y_t) * phi_l(y_{t+1}),
 
 and the order is the length of the leading run of singular values that
-are "significant": larger than ``tau_factor`` times the value predicted
-by a straight line fitted through the smallest ``n_reg`` singular
-values against their index.
+are "significant": larger than ``TAU_FACTOR`` = 1.5 times the value
+predicted by a straight line fitted through the smallest ``n_reg``
+singular values against their index.
 
 The basis takes one ``cos`` and one ``sin`` pass over ``pi * y``; the
 higher frequencies follow from the angle-addition recurrence, whose
@@ -29,14 +29,17 @@ import numpy as np
 
 from .series import LINEAR, ObservedSeries
 
+#: a singular value is significant above this multiple of the fitted line
+TAU_FACTOR = 1.5
+
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Basis size, regression count and significance multiplier."""
+    """Basis size and the number of smallest singular values the
+    significance line is fitted through."""
 
     n_basis: int
     n_reg: int
-    tau_factor: float = 1.5
 
     def __post_init__(self):
         if self.n_basis < 1:
@@ -45,8 +48,6 @@ class SpectralConfig:
             raise ValueError("need 1 <= n_reg <= n_basis")
         if self.n_reg < 2:
             raise ValueError("the regression needs at least two points (n_reg >= 2)")
-        if self.tau_factor <= 0:
-            raise ValueError("tau_factor must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +164,7 @@ def spectral_order(
     nhat = moments[: config.n_basis, : config.n_basis]
     sigma = np.linalg.svd(nhat, compute_uv=False)
     fitted = significance_line(sigma, config.n_reg)
-    significant = sigma > config.tau_factor * fitted
+    significant = sigma > TAU_FACTOR * fitted
     l_hat = 0
     for flag in significant:
         if not flag:

@@ -335,7 +335,7 @@ class TestCriterion11:
     )
     def test_wind_benchmark(self, tmp_path):
         series = load_series(DatasetDescriptor(WIND_FILE, layout="deg", stride=4))
-        estimate = estimate_order(series, kernel="vonmises")
+        estimate = estimate_order(series)
         diag = tmp_path / "wind_diag.csv"
         export_diagnostics(estimate, diag)
         exceed_rows = sum(

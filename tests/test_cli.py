@@ -6,6 +6,7 @@ import pytest
 from hmmorder import cli
 from hmmorder.cli import main
 from hmmorder.estimator import practical_threshold
+from hmmorder.gram import DEFAULT_L_MAX
 from hmmorder.harness import ResultTable
 from hmmorder.seriesio import DatasetDescriptor, load_series
 
@@ -141,17 +142,33 @@ class TestEstimateCommand:
         assert code == 2
         assert "l_max must be >= 1" in capsys.readouterr().err
 
-    def test_gaussian_kernel_on_angles_is_config_error(self, tmp_path):
-        path = tmp_path / "vm.txt"
-        assert run_cli(
-            ["simulate", "--scenario", "vm3", "--n", "100", "--seed", "4",
-             "--out", str(path)]
-        ) == 0
-        code = run_cli(
-            ["estimate", "--input", str(path), "--layout", "rad",
-             "--kernel", "gaussian"]
-        )
-        assert code == 2
+    def test_kernel_flag_is_usage_error(self, gauss_shift_file):
+        # the data kind picks the kernel, so there is no flag to pick it
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["estimate", "--input", str(gauss_shift_file), "--kernel", "gaussian"])
+        assert excinfo.value.code == 2
+
+    def test_lmax_default_is_the_library_default(self, gauss_shift_file, tmp_path):
+        diag = tmp_path / "diag.csv"
+        assert cli.DEFAULT_L_MAX is DEFAULT_L_MAX
+        code = run_cli(["estimate", "--input", str(gauss_shift_file), "--diagnostics", str(diag)])
+        assert code == 0
+        assert len(diag.read_text().strip().split("\n")) == 1 + DEFAULT_L_MAX
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--layout", "multiseq", "--dim", "1"], 3),
+            (["--layout", "rad", "--dim", "2"], 2),
+            (["--layout", "deg", "--dim", "2"], 2),
+        ],
+    )
+    def test_layout_dim_mismatch(self, tmp_path, flags, code):
+        # an id column and two value columns are not a d = 1 multi-sequence
+        # file, and an angle file is never multivariate
+        path = tmp_path / "multi.txt"
+        path.write_text("".join(f"1 {0.1 * i} {0.2 * i}\n" for i in range(20)))
+        assert run_cli(["estimate", "--input", str(path), *flags]) == code
 
 
 class TestExperimentCommand:
@@ -242,6 +259,7 @@ class TestExperimentCommand:
             "method =",
             "n_list = sixty",
             "beta = steep",
+            "replicates: 2",
         ],
     )
     def test_invalid_config_is_config_error(self, tmp_path, line):

@@ -19,7 +19,7 @@ from hmmorder.estimator import (
     theoretical_threshold,
 )
 from hmmorder.gram import SingularSpectrum
-from hmmorder.kernels import GAUSSIAN_L2_SQ, BandwidthRule, KernelSpec, kernel_l2_norm_sq
+from hmmorder.kernels import GAUSSIAN_L2_SQ, BandwidthRule, KernelSpec
 from hmmorder.series import ObservedSeries
 from hmmorder.simulate import get_scenario, shift_scenario, simulate
 
@@ -95,8 +95,8 @@ class TestPracticalThreshold:
 
 class TestTheoreticalThreshold:
     def test_worked_value(self):
-        rule = ThresholdRule(alpha=0.05, t_mix=2.0, kernel_l2_sq=GAUSSIAN_L2_SQ)
-        tau = theoretical_threshold(rule, n=1000, h=0.3, d=1)
+        rule = ThresholdRule(alpha=0.05, t_mix=2.0)
+        tau = theoretical_threshold(rule, n=1000, kernel=KernelSpec("gaussian", 0.3))
         # recomputed from the constant definitions:
         c1 = 36 * GAUSSIAN_L2_SQ**2 * math.log(1 / 0.05) * 2
         c2 = GAUSSIAN_L2_SQ * math.sqrt(17)
@@ -106,16 +106,14 @@ class TestTheoreticalThreshold:
 
     def test_monotone_in_mixing_time(self):
         taus = [
-            theoretical_threshold(
-                ThresholdRule(0.05, t, GAUSSIAN_L2_SQ), 500, 0.4, 1
-            )
+            theoretical_threshold(ThresholdRule(0.05, t), 500, KernelSpec("gaussian", 0.4))
             for t in (1.0, 2.0, 5.0)
         ]
         assert taus[0] < taus[1] < taus[2]
 
     def test_alpha_to_one_limit(self):
-        rule = ThresholdRule(1.0 - 1e-12, 2.0, GAUSSIAN_L2_SQ)
-        tau = theoretical_threshold(rule, 500, 0.4, 1)
+        rule = ThresholdRule(1.0 - 1e-12, 2.0)
+        tau = theoretical_threshold(rule, 500, KernelSpec("gaussian", 0.4))
         c2 = GAUSSIAN_L2_SQ * math.sqrt(17)
         assert tau == pytest.approx(c2 / (500**0.5 * 0.4), rel=1e-5)
 
@@ -125,17 +123,12 @@ class TestTheoreticalThreshold:
         with pytest.raises(ValueError):
             ThresholdRule(alpha=0.0, t_mix=2.0)
 
-    def test_needs_a_kernel_norm(self):
-        with pytest.raises(ValueError, match="kernel_l2_sq or a kernel"):
-            theoretical_threshold(ThresholdRule(0.05, 2.0), 500, 0.4, 1)
-
     @pytest.mark.parametrize("scenario", ["gauss-shift", "vm3"])
     def test_estimate_takes_the_norm_of_its_kernel(self, scenario):
         series, _ = simulate(get_scenario(scenario), 300, seed=2)
         est = estimate_order(series, threshold=ThresholdRule(alpha=0.05, t_mix=2.0))
         kernel = KernelSpec(est.kernel_family, est.bandwidth)
-        rule = ThresholdRule(0.05, 2.0, kernel_l2_norm_sq(kernel))
-        assert est.tau == theoretical_threshold(rule, 300, est.bandwidth, 1)
+        assert est.tau == theoretical_threshold(ThresholdRule(0.05, 2.0), 300, kernel)
         assert est.l_hat == int(np.sum(est.r_values > est.tau))
         assert est.r_values.tolist() == estimate_order(series).r_values.tolist()
 
@@ -269,19 +262,20 @@ class TestEstimateOrder:
         estimate = estimate_order(series)
         assert np.all(np.diff(estimate.r_values) <= 1e-12)
 
-    def test_circular_requires_vonmises(self):
+    @pytest.mark.parametrize("estimator", [estimate_order, estimate_order_max_univariate])
+    @pytest.mark.parametrize("kernel", ["gaussian", "vonmises"])
+    def test_kernel_family_string_refused(self, estimator, kernel):
+        # the data kind picks the family; a name is not a second spelling
+        series, _ = simulate(shift_scenario(delta=5.0, dim=2), 50, seed=3)
+        if estimator is estimate_order:
+            series = series.coordinate(0)
+        with pytest.raises(ValueError, match="a CustomKernel or None"):
+            estimator(series, kernel=kernel)
+
+    def test_circular_series_gets_vonmises(self):
         rng = np.random.default_rng(6)
         series = ObservedSeries.from_points(rng.uniform(0, 2 * np.pi, 50), kind="circular")
-        with pytest.raises(ValueError, match="von Mises"):
-            estimate_order(series, kernel="gaussian")
-        estimate = estimate_order(series, kernel="vonmises")
-        assert estimate.kernel_family == "vonmises"
-
-    def test_vonmises_on_linear_rejected(self):
-        rng = np.random.default_rng(7)
-        series = ObservedSeries.from_points(rng.normal(0, 1, 50))
-        with pytest.raises(ValueError, match="circular"):
-            estimate_order(series, kernel="vonmises")
+        assert estimate_order(series).kernel_family == "vonmises"
 
 
 class TestMaxUnivariate:

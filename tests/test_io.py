@@ -62,6 +62,21 @@ class TestLoadSeries:
         assert series.n_sequences == 3
         assert series.n_pairs == 167 + 133 + 136
 
+    def test_multisequence_honours_dim(self, tmp_path):
+        path = tmp_path / "multi.txt"
+        path.write_text("".join(f"{1 + i // 5} {0.1 * i} {0.2 * i}\n" for i in range(10)))
+        series = load_series(DatasetDescriptor(path, layout="multiseq", dim=2))
+        assert (series.n_sequences, series.dim) == (2, 2)
+        with pytest.raises(DataError, match="1 value columns, found 3 fields"):
+            load_series(DatasetDescriptor(path, layout="multiseq", dim=1))
+        with pytest.raises(DataError, match="3 value columns, found 3 fields"):
+            load_series(DatasetDescriptor(path, layout="multiseq", dim=3))
+
+    @pytest.mark.parametrize("layout", ["deg", "rad"])
+    def test_angle_layouts_are_univariate(self, layout):
+        with pytest.raises(ValueError, match="angle layouts are univariate"):
+            DatasetDescriptor("angles.txt", layout=layout, dim=2)
+
     def test_non_numeric_field_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0\n2.0\nfoo\n")

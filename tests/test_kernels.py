@@ -74,6 +74,11 @@ def cross_gram_matrix_full(spec, points):
     return upper + np.triu(w, 1).T
 
 
+def rotated(angles, shift):
+    """Angles turned by ``shift`` radians, back in [0, 2*pi)."""
+    return np.mod(angles + shift, 2 * np.pi)
+
+
 def gaussian_cross(a, b, h):
     d = len(a)
     return (4 * np.pi * h * h) ** (-d / 2) * np.exp(-np.sum((a - b) ** 2) / (4 * h * h))
@@ -213,7 +218,7 @@ class TestCustomKernel:
         from hmmorder.simulate import shift_scenario, simulate
 
         series, _ = simulate(shift_scenario(delta=5.0), 150, seed=9)
-        builtin = estimate_order(series, kernel="gaussian")
+        builtin = estimate_order(series)
         custom = estimate_order(
             series,
             kernel=CustomKernel(
@@ -225,6 +230,25 @@ class TestCustomKernel:
         )
         assert custom.l_hat == builtin.l_hat
         assert np.allclose(custom.r_values, builtin.r_values, rtol=1e-10)
+
+    def test_vonmises_custom_kernel_matches_builtin(self):
+        # a BandwidthRule gives a custom kernel on angles the scale of
+        # the data kind, kappa = 1, as it does the built-in kernel
+        from hmmorder.estimator import estimate_order
+        from hmmorder.simulate import get_scenario, simulate
+
+        series, _ = simulate(get_scenario("vm3"), 200, seed=1)
+        custom = CustomKernel(
+            cross_gram_fn=lambda a, b, h: cross_gram(KernelSpec("vonmises", h), a, b),
+            bandwidth=1.0,
+        )
+        for angles in (series.points[:, 0], rotated(series.points[:, 0], 1.0)):
+            circ = ObservedSeries.from_points(angles, kind="circular")
+            builtin = estimate_order(circ)
+            est = estimate_order(circ, kernel=custom, bandwidth=BandwidthRule())
+            assert est.bandwidth == builtin.bandwidth == 200 ** (-1.0 / 6.0)
+            assert est.l_hat == builtin.l_hat == 2
+            assert np.allclose(est.r_values, builtin.r_values, rtol=1e-10)
 
     def test_l2_norm_requires_declaration(self):
         from hmmorder.kernels import CustomKernel
@@ -388,11 +412,23 @@ class TestBandwidth:
         series = ObservedSeries.from_points(
             np.linspace(0, 6.0, 8767), kind="circular"
         )
-        h = select_bandwidth(BandwidthRule(), series, "vonmises")
+        h = select_bandwidth(BandwidthRule(), series)
         assert h == 8766 ** (-1.0 / 6.0)
         # kappa stays 1 when only beta is set
-        h = select_bandwidth(BandwidthRule(beta=0.2), series, "vonmises")
+        h = select_bandwidth(BandwidthRule(beta=0.2), series)
         assert h == 8766**-0.2
+
+    def test_circular_default_is_rotation_invariant(self):
+        # Silverman's rule on the raw angles would give 0.553 here, and
+        # 0.555 once the angles are rotated by 1 rad
+        from hmmorder.simulate import get_scenario, simulate
+
+        series, _ = simulate(get_scenario("vm3"), 500, seed=1)
+        rot = ObservedSeries.from_points(
+            rotated(series.points[:, 0], 1.0), kind="circular"
+        )
+        assert select_bandwidth(BandwidthRule(), series) == 500 ** (-1.0 / 6.0)
+        assert select_bandwidth(BandwidthRule(), rot) == 500 ** (-1.0 / 6.0)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(48)
