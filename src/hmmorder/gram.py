@@ -15,6 +15,10 @@ returns that spectrum through the dense square root.  W and its
 square root are each one N x N array: the Gram matrix is filled by
 row blocks of its upper triangle, mirrored in place, and the symmetry
 check and symmetrisation of the square root walk the same row blocks.
+Only the leading ``l_max`` singular values of B are computed and its
+Frobenius mass is summed directly.  Up to FULL_SVD_MAX_N they come from
+a full SVD; above it, from a residual-certified block Krylov iteration
+in numpy alone, with the full SVD as its fallback.
 """
 
 from dataclasses import dataclass
@@ -24,8 +28,10 @@ import numpy as np
 from .kernels import KernelSpec, cross_gram_matrix, row_blocks
 from .series import ObservedSeries
 
-#: above this pair count, singular values are computed iteratively
-FULL_SVD_MAX_N = 4000
+#: above this size N of the pair product, its leading singular values
+#: come from block Krylov iteration instead of a full SVD (the measured
+#: crossover at l_max = 10)
+FULL_SVD_MAX_N = 200
 
 DEFAULT_L_MAX = 10
 
@@ -152,27 +158,78 @@ def build_shifted_product(gram_sqrt: np.ndarray, sel: PairSelectors) -> np.ndarr
 def singular_spectrum(v: np.ndarray, l_max: int = DEFAULT_L_MAX) -> SingularSpectrum:
     """Leading singular values of ``v`` plus its exact Frobenius mass.
 
-    A full SVD is used up to FULL_SVD_MAX_N; beyond that only the top
-    ``l_max`` values are computed iteratively, which is all the tail
-    statistics need once ``frob_sq`` is known.
+    Up to FULL_SVD_MAX_N a full SVD gives the leading ``l_max`` values.
+    Beyond it they come from a block Krylov iteration
+    (``_krylov_singular_values``) that certifies each value by its
+    residual and falls back to the full SVD when it cannot; the tail
+    statistics need nothing more once ``frob_sq`` is known.
     """
     v = np.asarray(v, dtype=float)
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     frob_sq = float(np.sum(v * v))
     k = min(l_max, min(v.shape))
-    if min(v.shape) <= FULL_SVD_MAX_N:
+    sigma = None
+    if min(v.shape) > FULL_SVD_MAX_N:
+        sigma = _krylov_singular_values(v, k)
+    if sigma is None:
         sigma = np.linalg.svd(v, compute_uv=False)[:k]
-    else:
-        # loaded here only: importing the package should not pay for it
-        import scipy.sparse.linalg
-
-        v0 = np.full(v.shape[1], v.shape[1] ** -0.5)
-        sigma = scipy.sparse.linalg.svds(
-            v, k=k, v0=v0, return_singular_vectors=False
-        )
-        sigma = np.sort(sigma)[::-1]
     return SingularSpectrum(sigma=sigma, frob_sq=frob_sq)
+
+
+def _krylov_singular_values(v: np.ndarray, k: int):
+    """The k leading singular values of ``v`` by block Krylov iteration
+    with Rayleigh-Ritz, or None if they could not be certified.
+
+    The basis Q of the right Krylov space starts from a seeded Gaussian
+    block of k + 6 columns, so the result is deterministic, and grows
+    by blocks orth(v.T @ v @ Q_last); v @ Q is kept block by block, so
+    v is applied once per block.  Every second block the SVD of v @ Q
+    gives Ritz values theta_i, lower bounds on sigma_i since Q is
+    orthonormal, and vectors with v w_i = theta_i u_i.  The values are
+    accepted once every residual |v.T u_i - theta_i w_i| is at most
+    1e-14 * theta_1.  At 16 blocks, or once Q spans the whole space,
+    the iteration gives up.  Halko, Martinsson & Tropp (2011); Musco &
+    Musco (2015).
+    """
+    n = v.shape[1]
+    width = min(k + 6, n)
+    max_size = min(n, 16 * width)
+    start = np.random.default_rng(0).standard_normal((n, width))
+    blocks = [np.linalg.qr(start)[0]]
+    images = [v @ blocks[0]]
+    size = width
+    while True:
+        if len(blocks) % 2 == 0 or size >= max_size:
+            u, theta, wt = np.linalg.svd(np.hstack(images), full_matrices=False)
+            ritz = np.hstack(blocks) @ wt[:k].T
+            resid = np.linalg.norm(v.T @ u[:, :k] - ritz * theta[:k], axis=0)
+            if np.all(resid <= 1e-14 * theta[0]):
+                return theta[:k]
+            if size >= max_size:
+                return None
+        cols = min(width, max_size - size)
+        nxt = _orthonormal_complement(v.T @ images[-1][:, :cols], np.hstack(blocks))
+        blocks.append(nxt)
+        images.append(v @ nxt)
+        size += cols
+
+
+def _orthonormal_complement(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning (I - basis basis.T) w.
+
+    Projecting twice before one QR is not enough when v is rank
+    deficient: w then lies almost inside the basis, the QR of the
+    round-off left after projection is not orthogonal to it, and Ritz
+    values from the basis are no longer bounds (the residual check
+    then fails on the rank-deficient d = 1 pair products).  One more
+    projection and QR restore orthogonality to working precision.
+    """
+    w = w - basis @ (basis.T @ w)
+    w = w - basis @ (basis.T @ w)
+    w = np.linalg.qr(w)[0]
+    w = w - basis @ (basis.T @ w)
+    return np.linalg.qr(w)[0]
 
 
 def estimate_operator_matrix(

@@ -440,7 +440,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     Each line is split at its first ``=``; a line without one is a
     ``ConfigError``, so ``key: value`` is refused while a value such as
     ``spectral:20:10`` keeps its colons.  ``#`` starts a comment.
-    Lists are comma separated.  Recognized keys: scenario, delta, nu,
+    Lists are comma separated, and a key given twice is a
+    ``ConfigError``.  Recognized keys: scenario, delta, nu,
     beta, d, n_list, noise, method, replicates, base_seed, jobs, l_max;
     ``method`` lists ``parse_method`` descriptors.  A value that does
     not parse, or a configuration that ``ExperimentConfig`` refuses,
@@ -454,7 +455,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
+        raw[key] = value.strip()
     if "scenario" not in raw:
         raise ConfigError("missing required key 'scenario'")
     kwargs: dict = {"scenario": raw.pop("scenario")}

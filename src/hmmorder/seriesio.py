@@ -2,10 +2,11 @@
 
 The on-disk format is one observation per line with ``d`` numeric
 columns, whitespace- or comma-separated.  Multi-sequence files carry a
-leading integer sequence-id column followed by ``d`` value columns;
-rows are grouped by id in order of appearance.  Angle layouts hold one
-angle per line, in degrees or radians, and are converted to radians in
-[0, 2*pi) on load.  Every layout reads exactly ``d`` value columns.
+leading integer sequence-id column followed by ``d`` value columns
+(a non-integral id is a ``DataError``); rows are grouped by id in
+order of appearance.  Angle layouts hold one angle per line, in
+degrees or radians, and are converted to radians in [0, 2*pi) on
+load.  Every layout reads exactly ``d`` value columns.
 """
 
 from dataclasses import dataclass
@@ -92,6 +93,8 @@ def load_series(desc: DatasetDescriptor) -> ObservedSeries:
                 raise DataError(
                     f"{path}:{lineno}: expected {width} fields, found {len(fields)}"
                 )
+            if not float(fields[0]).is_integer():
+                raise DataError(f"{path}:{lineno}: sequence id {fields[0]!r} is not an integer")
             seq_id = int(fields[0])
             if seq_id not in groups:
                 groups[seq_id] = []

@@ -260,6 +260,7 @@ class TestExperimentCommand:
             "n_list = sixty",
             "beta = steep",
             "replicates: 2",
+            "scenario = vm3",
         ],
     )
     def test_invalid_config_is_config_error(self, tmp_path, line):

@@ -12,7 +12,14 @@ from hmmorder.gram import (
     singular_spectrum,
 )
 from hmmorder.estimator import estimate_order
-from hmmorder.kernels import GRAM_BLOCK, KernelSpec, cross_gram, cross_gram_matrix
+from hmmorder.kernels import (
+    GRAM_BLOCK,
+    BandwidthRule,
+    KernelSpec,
+    cross_gram,
+    cross_gram_matrix,
+    select_bandwidth,
+)
 from hmmorder.series import ObservedSeries
 from hmmorder.simulate import get_scenario, simulate
 
@@ -282,6 +289,87 @@ class TestSingularSpectrum:
             gram_mod.FULL_SVD_MAX_N = old
         assert np.allclose(trunc.sigma, full.sigma, rtol=1e-8)
         assert trunc.frob_sq == full.frob_sq
+
+
+def pair_product(scenario, n, seed, bandwidth=None):
+    """The N x N shifted product of a simulated series, at the default
+    bandwidth unless one is given."""
+    series, _ = simulate(get_scenario(scenario), n, seed=seed)
+    h = bandwidth or select_bandwidth(BandwidthRule(), series)
+    family = "vonmises" if scenario == "vm3" else "gaussian"
+    m = psd_sqrt(build_gram(series, KernelSpec(family, h)))
+    return build_shifted_product(m, build_selectors(series))
+
+
+KRYLOV_CASES = {
+    # decaying columns give a spectrum the Krylov space can resolve
+    "random": lambda: (
+        np.random.default_rng(21).standard_normal((300, 300)) * 0.97 ** np.arange(300)
+    ),
+    # numerical rank about 30 of 601: the reorthogonalisation trap
+    "d1-pair-product": lambda: pair_product("gauss-shift", 600, seed=0),
+    "identity": lambda: np.eye(300),
+    "shift": lambda: np.eye(300, k=1),
+    # multiplicity 12 of the leading value, above k = 10
+    "diagonal-12-equal": lambda: np.diag(
+        np.concatenate([np.ones(12), np.linspace(0.5, 0.01, 288)])
+    ),
+    "zero": lambda: np.zeros((300, 300)),
+    "rank-1": lambda: np.outer(*np.random.default_rng(22).standard_normal((2, 300))),
+}
+
+
+@pytest.fixture
+def krylov_results(monkeypatch):
+    """What each call of the block Krylov routine returned (None for a
+    fall back to the full SVD)."""
+    import hmmorder.gram as gram_mod
+
+    results = []
+    krylov = gram_mod._krylov_singular_values
+
+    def spy(v, k):
+        results.append(krylov(v, k))
+        return results[-1]
+
+    monkeypatch.setattr(gram_mod, "_krylov_singular_values", spy)
+    return results
+
+
+class TestKrylovSpectrum:
+    @pytest.mark.parametrize("name", list(KRYLOV_CASES))
+    def test_matches_full_svd(self, krylov_results, name):
+        import hmmorder.gram as gram_mod
+
+        v = KRYLOV_CASES[name]()
+        assert min(v.shape) > gram_mod.FULL_SVD_MAX_N
+        spec = singular_spectrum(v, l_max=10)
+        full = np.linalg.svd(v, compute_uv=False)[:10]
+        assert len(krylov_results) == 1 and krylov_results[0] is not None
+        assert np.max(np.abs(spec.sigma - full)) <= 1e-12 * full[0]
+        assert spec.frob_sq == float(np.sum(v * v))
+
+    def test_uncertified_values_fall_back_to_full_svd(self, krylov_results):
+        # a tiny bandwidth makes the product nearly a scaled shift: its
+        # leading values cluster too tightly to certify in 16 blocks
+        v = pair_product("vm3", 400, seed=0, bandwidth=1e-3)
+        spec = singular_spectrum(v, l_max=10)
+        assert krylov_results == [None]
+        assert np.array_equal(spec.sigma, np.linalg.svd(v, compute_uv=False)[:10])
+
+    def test_deterministic(self):
+        v = KRYLOV_CASES["d1-pair-product"]()
+        first, second = singular_spectrum(v), singular_spectrum(v)
+        assert np.array_equal(first.sigma, second.sigma)
+
+    def test_full_svd_up_to_the_crossover(self, krylov_results):
+        import hmmorder.gram as gram_mod
+
+        n = gram_mod.FULL_SVD_MAX_N
+        v = np.random.default_rng(22).standard_normal((n, n))
+        spec = singular_spectrum(v, l_max=10)
+        assert krylov_results == []
+        assert np.array_equal(spec.sigma, np.linalg.svd(v, compute_uv=False)[:10])
 
 
 class TestEstimateOperatorMatrix:

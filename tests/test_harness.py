@@ -313,6 +313,22 @@ DEMOTED_NAMES = [
 ]
 
 
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter."""
+    src = str(Path(hmmorder.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return out.stdout.strip()
+
+
 class TestImports:
     def test_import_loads_no_pool_or_sparse_solver(self):
         code = (
@@ -320,18 +336,20 @@ class TestImports:
             "print([m for m in ('hmmorder.quadrature', 'scipy.sparse.linalg', "
             "'concurrent.futures') if m in sys.modules])"
         )
-        src = str(Path(hmmorder.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
+        assert run_python(code) == "[]"
+
+    def test_estimate_above_full_svd_size_loads_no_sparse_solver(self):
+        # the leading singular values of a large pair product come from
+        # numpy alone; importing scipy.sparse.linalg adds about 9 MB of
+        # resident memory
+        code = (
+            "import sys; from hmmorder import estimate_order, gram; "
+            "from hmmorder.simulate import get_scenario, simulate; "
+            "series, _ = simulate(get_scenario('gauss-shift'), 600, 0); "
+            "assert series.n_points > gram.FULL_SVD_MAX_N; estimate_order(series); "
+            "print('scipy.sparse' in sys.modules)"
         )
-        assert out.stdout.strip() == "[]"
+        assert run_python(code) == "False"
 
     @pytest.mark.parametrize(("module", "name"), DEMOTED_NAMES)
     def test_package_exports_only_entry_points(self, module, name):
@@ -422,6 +440,15 @@ class TestConfigParsing:
     def test_bad_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("scenario = beta3\nnot a kv pair\n")
+
+    def test_repeated_key_refused(self):
+        # appending lines must not silently replace the first ones
+        text = (
+            "scenario = beta3\nn_list = 100\nmethod = spectral:20:10\n"
+            "scenario = vm3\nn_list = 5000\n"
+        )
+        with pytest.raises(ConfigError, match="line 4: key 'scenario' given twice"):
+            parse_config_text(text)
 
     def test_colon_separator_refused(self):
         # '=' is the one separator; a method value keeps its colons

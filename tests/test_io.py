@@ -72,6 +72,13 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="3 value columns, found 3 fields"):
             load_series(DatasetDescriptor(path, layout="multiseq", dim=3))
 
+    def test_non_integral_sequence_id_refused(self, tmp_path):
+        # int() would truncate 1.7 to 1 and pool both ids into one sequence
+        path = tmp_path / "multi.txt"
+        path.write_text("".join(f"{(1, 1.7)[i % 2]} {0.1 * i}\n" for i in range(8)))
+        with pytest.raises(DataError, match="multi.txt:2: sequence id 1.7"):
+            load_series(DatasetDescriptor(path, layout="multiseq"))
+
     @pytest.mark.parametrize("layout", ["deg", "rad"])
     def test_angle_layouts_are_univariate(self, layout):
         with pytest.raises(ValueError, match="angle layouts are univariate"):
