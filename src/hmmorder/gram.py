@@ -1,36 +1,46 @@
-"""Gram matrix of the smoothing kernels, its PSD square root, and the
-shifted product whose singular values are the spectrum of the smoothed
-pair operator.
+"""Gram matrix of the smoothing kernels, its factors, and the pair
+matrices whose singular values are the spectrum of the smoothed pair
+operator.
 
 For observations y_1..y_N (pooled over sequences) the Gram matrix is
-W[i, j] = phi_h(y_i, y_j).  With M = W^(1/2) and the pair selectors
-(first_k, second_k) ranging over within-sequence consecutive pairs, the
-N x N shifted product
+W[i, j] = phi_h(y_i, y_j).  The pair selectors (first_k, second_k)
+range over the n within-sequence consecutive pairs.  For any factor F
+with F F^T = W the k x k pair-moment matrix
 
-    B = (1/n) * M[:, second] @ M[first, :] = (1/n) * M S M,
+    P = (1/n) * F[first]^T @ F[second]
 
-with S the pair-shift selector, has exactly the nonzero singular values
-of the empirical smoothed pair operator.  ``estimate_operator_matrix``
-returns that spectrum through the dense square root.  W and its
-square root are each one N x N array: the Gram matrix is filled by
-row blocks of its upper triangle, mirrored in place, and the symmetry
-check and symmetrisation of the square root walk the same row blocks.
-Only the leading ``l_max`` singular values of B are computed and its
-Frobenius mass is summed directly.  Up to FULL_SVD_MAX_N they come from
-a full SVD; above it, from a residual-certified block Krylov iteration
-in numpy alone, with the full SVD as its fallback.
+has exactly the nonzero singular values of the empirical smoothed pair
+operator.  ``estimate_operator_matrix`` takes one of two factors,
+split at N = FULL_SVD_MAX_N points:
+
+* up to it, the dense symmetric square root M = W^(1/2) (F = M, and
+  the N x N shifted product B = (1/n) * M[:, second] @ M[first, :] =
+  (1/n) * M S M with S the pair-shift selector stands in for P^T).  W
+  and M are each one N x N array, built and checked by row blocks.
+* above it, a greedy pivoted Cholesky factor of rank k built from k + 1
+  kernel columns (``cholesky_factor``), which stops once the largest
+  residual diagonal is at the rounding level of W's own entries.  No
+  N x N array is allocated unless k reaches N; the d = 1 Grams have k
+  of 30-70 up to n = 64000.
+
+Only the leading ``l_max`` singular values are computed and the
+Frobenius mass is summed directly.  Up to FULL_SVD_MAX_N rows they come
+from a full SVD; above it, from a residual-certified block Krylov
+iteration in numpy alone, with the full SVD as its fallback.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram_matrix, row_blocks
+from .kernels import KernelSpec, cross_gram_matrix, gram_column, gram_diagonal, row_blocks
 from .series import ObservedSeries
 
-#: above this size N of the pair product, its leading singular values
-#: come from block Krylov iteration instead of a full SVD (the measured
-#: crossover at l_max = 10)
+#: one size limit with two uses: above this many points the operator
+#: spectrum comes from the pivoted Cholesky factor instead of the dense
+#: square root, and above this many rows of a pair matrix its leading
+#: singular values come from block Krylov iteration instead of a full
+#: SVD (the measured crossover at l_max = 10)
 FULL_SVD_MAX_N = 200
 
 DEFAULT_L_MAX = 10
@@ -91,11 +101,62 @@ def build_selectors(series: ObservedSeries) -> PairSelectors:
 
 def build_gram(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     """Gram matrix W[i, j] = phi_h(y_i, y_j) over all pooled points."""
+    _check_dim(series, kernel)
+    return cross_gram_matrix(kernel, series.points)
+
+
+def _check_dim(series: ObservedSeries, kernel) -> None:
     if kernel.dim != series.dim:
         raise ValueError(
             f"kernel dimension {kernel.dim} does not match series dimension {series.dim}"
         )
-    return cross_gram_matrix(kernel, series.points)
+
+
+def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
+    """N x k factor F with F F^T = W, by greedy pivoted Cholesky.
+
+    Each step takes the point with the largest residual diagonal as the
+    pivot, evaluates its Gram column and subtracts the part the
+    previous columns explain.  It stops once the largest residual
+    diagonal is at most N * eps * max diag W, the rounding level of
+    W's own entries.  A residual diagonal below psd_sqrt's floor,
+    -1e-12 * max diag W, raises ``LinAlgError``: W is not PSD.  The
+    cost is k + 1 kernel columns and O(N k^2) operations, and W is
+    never formed.  Harbrecht, Peters & Schneider (2012).
+    """
+    _check_dim(series, kernel)
+    pts = series.points
+    n = pts.shape[0]
+    resid = gram_diagonal(kernel, pts).copy()
+    d_max = float(np.max(resid))
+    stop = n * np.finfo(float).eps * d_max
+    # rows[k] is column k of F, so each update reads one contiguous block
+    rows = np.empty((min(n, 64), n))
+    k = 0
+    while k < n:
+        p = int(np.argmax(resid))
+        if resid[p] <= stop:
+            break
+        if k == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((min(k, n - k), n))])
+        col = gram_column(kernel, pts, p)
+        col -= rows[:k].T @ rows[:k, p]
+        col /= np.sqrt(resid[p])
+        rows[k] = col
+        resid -= col * col
+        k += 1
+    floor = -1e-12 * d_max
+    if np.min(resid) < floor:
+        raise np.linalg.LinAlgError(
+            f"matrix is not PSD: residual diagonal {np.min(resid):.6e} below {floor:.6e}"
+        )
+    return rows[:k].T
+
+
+def pair_moments(factor: np.ndarray, sel: PairSelectors) -> np.ndarray:
+    """k x k matrix (1/n) F[first]^T F[second] whose singular values
+    equal those of the empirical smoothed pair operator."""
+    return factor[sel.first].T @ factor[sel.second] / sel.n_pairs
 
 
 def psd_sqrt(w: np.ndarray) -> np.ndarray:
@@ -236,7 +297,16 @@ def estimate_operator_matrix(
     series: ObservedSeries, kernel: KernelSpec, l_max: int = DEFAULT_L_MAX
 ) -> SingularSpectrum:
     """Singular spectrum of the empirical smoothed pair operator of a
-    series, from the shifted product of the Gram square root."""
+    series: from the shifted product of the Gram square root up to
+    FULL_SVD_MAX_N points, from the pair moments of the pivoted
+    Cholesky factor above it.  Singular values past the factor's rank
+    are exactly zero and are stored as such."""
     sel = build_selectors(series)
-    m = psd_sqrt(build_gram(series, kernel))
-    return singular_spectrum(build_shifted_product(m, sel), l_max=l_max)
+    if series.n_points <= FULL_SVD_MAX_N:
+        m = psd_sqrt(build_gram(series, kernel))
+        return singular_spectrum(build_shifted_product(m, sel), l_max=l_max)
+    spec = singular_spectrum(pair_moments(cholesky_factor(series, kernel), sel), l_max=l_max)
+    missing = min(l_max, series.n_points) - spec.sigma.size
+    if missing <= 0:
+        return spec
+    return SingularSpectrum(np.concatenate([spec.sigma, np.zeros(missing)]), spec.frob_sq)

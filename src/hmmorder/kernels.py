@@ -9,7 +9,9 @@ cross inner product
 which has a closed form for both families and fills the Gram matrix of
 the pair operator.  The Gram matrix is built in blocks of rows: each
 block evaluates its upper triangle only and mirrors it in place, so
-the matrix itself is the only N x N allocation.  Bandwidths follow
+the matrix itself is the only N x N allocation.  ``gram_column`` and
+``gram_diagonal`` give one column and the diagonal of the same matrix
+without forming it, for the factor path of large N.  Bandwidths follow
 h = kappa * n**(-beta); ``select_bandwidth`` alone decides the defaults
 of beta and kappa.
 """
@@ -175,9 +177,7 @@ def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
     into the lower triangle in place, so the result is bit-for-bit
     symmetric.  A CustomKernel is called once per pair i <= j.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != spec.dim:
-        raise ValueError(f"points must be (N, {spec.dim}), got {pts.shape}")
+    pts = _as_points(spec, points)
     n = pts.shape[0]
     if isinstance(spec, CustomKernel):
         w = np.empty((n, n))
@@ -203,6 +203,73 @@ def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
             )
         w[b:, a:b] = w[a:b, b:].T
     return w
+
+
+def _as_points(spec, points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != spec.dim:
+        raise ValueError(f"points must be (N, {spec.dim}), got {pts.shape}")
+    return pts
+
+
+def gram_diagonal(spec, points: np.ndarray) -> np.ndarray:
+    """phi_h(y_i, y_i) for every row of an (N, d) point array.
+
+    Constant for the built-in families; a CustomKernel is called once
+    per point.
+    """
+    pts = _as_points(spec, points)
+    n = pts.shape[0]
+    if isinstance(spec, CustomKernel):
+        diag = np.array([spec.cross_gram_fn(p, p, spec.bandwidth) for p in pts], dtype=float)
+    elif spec.family == GAUSSIAN:
+        diag = np.full(n, (4.0 * np.pi * spec.bandwidth**2) ** (-spec.dim / 2.0))
+    else:
+        kap = spec.concentration
+        diag = np.full(n, float(_i0e(2.0 * kap)) / (2.0 * np.pi * float(_i0e(kap)) ** 2))
+    return _check_column(spec, diag, None)
+
+
+def gram_column(spec, points: np.ndarray, j: int) -> np.ndarray:
+    """Column j of the Gram matrix, phi_h(y_i, y_j) for every i, without
+    forming the matrix.
+
+    The Gaussian family takes direct differences y_i - y_j, so a common
+    shift of the points cancels exactly instead of being lost in
+    |y_i|^2 + |y_j|^2 - 2 y_i.y_j; the von Mises family evaluates the
+    closed form of ``cross_gram_matrix`` with c - 1 rewritten below.
+    A CustomKernel is called N times.
+    """
+    pts = _as_points(spec, points)
+    if isinstance(spec, CustomKernel):
+        h = spec.bandwidth
+        col = np.array([spec.cross_gram_fn(p, pts[j], h) for p in pts], dtype=float)
+    elif spec.family == GAUSSIAN:
+        h = spec.bandwidth
+        d2 = np.sum((pts - pts[j]) ** 2, axis=1)
+        col = (4.0 * np.pi * h * h) ** (-spec.dim / 2.0) * np.exp(-d2 / (4.0 * h * h))
+    else:
+        kap = spec.concentration
+        half = 0.5 * (pts[:, 0] - pts[j, 0])
+        c = np.abs(np.cos(half))
+        # c - 1 = -sin^2 / (1 + c) keeps its relative accuracy near c = 1,
+        # where 2 * kap * (c - 1) would multiply the rounding of c by kap
+        col = _i0e(2.0 * kap * c) * np.exp(-2.0 * kap * np.sin(half) ** 2 / (1.0 + c))
+        col /= 2.0 * np.pi * float(_i0e(kap)) ** 2
+    return _check_column(spec, col, j)
+
+
+def _check_column(spec, col: np.ndarray, j) -> np.ndarray:
+    """``col`` if finite, else FloatingPointError naming the first bad
+    pair (i, j), or (i, i) for the diagonal (j None)."""
+    bad = ~np.isfinite(col)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FloatingPointError(
+            f"non-finite kernel value for points {i} and {i if j is None else j} "
+            f"(bandwidth {spec.bandwidth})"
+        )
+    return col
 
 
 def row_blocks(n: int):

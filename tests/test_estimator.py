@@ -278,6 +278,28 @@ class TestEstimateOrder:
         assert estimate_order(series).kernel_family == "vonmises"
 
 
+class TestFactorPathRobustness:
+    """Inputs on which the dense square root of W reported "not PSD"."""
+
+    @pytest.mark.parametrize("shift", [1e3, 1e5])
+    def test_translation_leaves_the_estimate_unchanged(self, shift):
+        # |a|^2 + |b|^2 - 2 a.b lost W's positive semi-definiteness here
+        # (minimum eigenvalue -2.4e-10 at 1e3, -3.8e-6 at 1e5)
+        series, _ = simulate(get_scenario("gauss-shift"), 500, seed=0)
+        moved = ObservedSeries(sequences=tuple(seq + shift for seq in series.sequences))
+        base, est = estimate_order(series), estimate_order(moved)
+        assert est.l_hat == base.l_hat
+        assert np.max(np.abs(est.r_values - base.r_values)) <= 1e-6 * base.r_values[0]
+
+    def test_small_vonmises_bandwidth(self):
+        # kappa = h^-2 = 1.1e5: the row fill's rounding made W indefinite
+        # beyond psd_sqrt's floor
+        series, _ = simulate(get_scenario("vm3"), 1000, seed=0)
+        est = estimate_order(series, bandwidth=0.003)
+        assert np.all(np.isfinite(est.r_values)) and est.r_values[0] > 0
+        assert np.all(np.diff(est.r_values) <= 1e-12 * est.r_values[0])
+
+
 class TestMaxUnivariate:
     def test_takes_maximum(self):
         series, _ = simulate(shift_scenario(delta=5.0, dim=2), 1000, seed=21)

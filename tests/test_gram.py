@@ -1,20 +1,26 @@
-"""Gram pipeline: selectors, PSD square root, shifted product, spectra."""
+"""Gram pipeline: selectors, PSD square root, pivoted Cholesky factor,
+shifted product and pair moments, spectra."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hmmorder.gram import (
+    FULL_SVD_MAX_N,
     build_gram,
     build_selectors,
     build_shifted_product,
+    cholesky_factor,
     estimate_operator_matrix,
     psd_sqrt,
     singular_spectrum,
 )
-from hmmorder.estimator import estimate_order
+from hmmorder.estimator import count_exceedances, estimate_order, tail_stats
 from hmmorder.kernels import (
     GRAM_BLOCK,
     BandwidthRule,
+    CustomKernel,
     KernelSpec,
     cross_gram,
     cross_gram_matrix,
@@ -23,7 +29,7 @@ from hmmorder.kernels import (
 from hmmorder.series import ObservedSeries
 from hmmorder.simulate import get_scenario, simulate
 
-from test_kernels import BLOCK_EDGE_SIZES, cross_gram_matrix_full
+from test_kernels import BLOCK_EDGE_SIZES, cross_gram_matrix_full, gaussian_cross
 
 
 def psd_sqrt_full(w):
@@ -211,7 +217,9 @@ class TestBlockedPsdSqrt:
 
 
 class TestEstimateMatchesFullMatrix:
-    @pytest.mark.parametrize("n", [50, 600])
+    # n = 50 takes the dense path; above FULL_SVD_MAX_N points the
+    # estimate takes the factor path, checked by TestFactorPath
+    @pytest.mark.parametrize("n", [50])
     @pytest.mark.parametrize("scenario", ["gauss-shift", "vm3"])
     def test_r_values_bit_identical(self, monkeypatch, scenario, n):
         import hmmorder.gram as gram_mod
@@ -223,6 +231,99 @@ class TestEstimateMatchesFullMatrix:
         ref = estimate_order(series)
         assert np.array_equal(est.r_values, ref.r_values)
         assert est.tau == ref.tau and est.l_hat == ref.l_hat
+
+
+def dense_oracle_r(series, kernel, l_max=10):
+    """r_l from the dense square root, shifted product and spectrum,
+    called directly whatever the size of the series."""
+    m = psd_sqrt(build_gram(series, kernel))
+    spec = singular_spectrum(build_shifted_product(m, build_selectors(series)), l_max)
+    return tail_stats(spec, l_max)
+
+
+def indefinite_cross(a, b, h):
+    """A difference of two Gaussians: positive diagonal, but its Fourier
+    transform is negative at high frequencies."""
+    sq = float(np.sum((a - b) ** 2))
+    return np.exp(-sq / (4 * h * h)) - 0.9 * np.exp(-sq / (1.2 * h * h))
+
+
+class TestFactorPath:
+    """Above FULL_SVD_MAX_N points: the pivoted Cholesky factor against
+    the dense oracle."""
+
+    @pytest.mark.parametrize(
+        "scenario, dim",
+        [("gauss-shift", 1), ("gauss-shift", 2), ("gauss-shift", 3), ("vm3", 1)],
+        ids=["gauss-shift-d1", "gauss-shift-d2", "gauss-shift-d3", "vm3"],
+    )
+    def test_matches_dense_oracle(self, scenario, dim):
+        series, _ = simulate(get_scenario(scenario, dim=dim), 600, seed=4)
+        assert series.n_points > FULL_SVD_MAX_N
+        est = estimate_order(series)
+        kernel = KernelSpec(est.kernel_family, est.bandwidth, dim)
+        ref = dense_oracle_r(series, kernel)
+        assert np.max(np.abs(est.r_values - ref)) <= 1e-9 * ref[0]
+        assert est.l_hat == count_exceedances(ref, est.tau)
+
+    def test_custom_kernel_matches_dense_oracle(self):
+        series, _ = simulate(get_scenario("gauss-shift"), 300, seed=2)
+        kernel = CustomKernel(cross_gram_fn=gaussian_cross, bandwidth=0.6)
+        est = estimate_order(series, kernel=kernel)
+        ref = dense_oracle_r(series, kernel)
+        assert np.max(np.abs(est.r_values - ref)) <= 1e-9 * ref[0]
+        assert est.l_hat == count_exceedances(ref, est.tau)
+
+    def test_indefinite_custom_kernel_raises(self):
+        series, _ = simulate(get_scenario("gauss-shift"), 300, seed=2)
+        kernel = CustomKernel(cross_gram_fn=indefinite_cross, bandwidth=0.5)
+        with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
+            estimate_order(series, kernel=kernel)
+        with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
+            psd_sqrt(build_gram(series, kernel))
+
+    def test_never_takes_the_dense_path(self, monkeypatch):
+        import hmmorder.gram as gram_mod
+
+        def dense(*args):
+            raise AssertionError("dense path called above FULL_SVD_MAX_N")
+
+        for name in ("cross_gram_matrix", "psd_sqrt", "build_shifted_product"):
+            monkeypatch.setattr(gram_mod, name, dense)
+        # n pairs are n + 1 points: the smallest series on the factor path
+        series, _ = simulate(get_scenario("vm3"), FULL_SVD_MAX_N, seed=0)
+        assert np.all(np.isfinite(estimate_order(series).r_values))
+
+    def test_peak_memory_far_below_one_gram(self):
+        series, _ = simulate(get_scenario("gauss-shift"), 2000, seed=0)
+        estimate_order(series)  # loads lazily imported modules outside the trace
+        tracemalloc.start()
+        try:
+            estimate_order(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 2 MB at rank 32, against 32 MB for one N x N array
+        assert peak <= 8 * series.n_points**2 / 8
+
+    @pytest.mark.parametrize("family", ["gaussian", "vonmises"])
+    def test_factor_reproduces_the_gram(self, family):
+        series = random_series(
+            np.random.default_rng(17), 300, kind="circular" if family == "vonmises" else "linear"
+        )
+        kernel = KernelSpec(family, 0.3)
+        f = cholesky_factor(series, kernel)
+        w = build_gram(series, kernel)
+        assert f.shape[1] < series.n_points
+        # the stop rule leaves every residual entry below N * eps * max W
+        assert np.max(np.abs(f @ f.T - w)) <= 1e-12 * np.max(w)
+
+    def test_rank_one_gram_pads_zero_singular_values(self):
+        series = ObservedSeries.from_points(np.zeros(300))
+        spec = estimate_operator_matrix(series, KernelSpec("gaussian", 0.5), l_max=5)
+        assert spec.sigma.size == 5
+        assert spec.sigma[0] > 0 and np.all(spec.sigma[1:] == 0.0)
+        assert tail_stats(spec, 5)[1] == pytest.approx(0.0, abs=1e-7 * spec.sigma[0])
 
 
 class TestPairMatrices:

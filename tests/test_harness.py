@@ -226,11 +226,29 @@ class TestRunExperiment:
         assert all(v >= 0 for v in report.values())
 
     def test_timing_grows_with_n(self):
-        table = run_experiment(small_config(n_list=(100, 600), replicates=3))
+        # both sizes above FULL_SVD_MAX_N points, on the factor path: the
+        # dense path at 100 points costs more than the factor at 600
+        table = run_experiment(small_config(n_list=(300, 30000), replicates=3))
         report = timing_report(table)
-        assert report[(600, 1, "operator")] > report[(100, 1, "operator")]
+        assert report[(30000, 1, "operator")] > report[(300, 1, "operator")]
 
     def test_multivariate_faster_than_max_univariate(self):
+        # on the dense path (up to FULL_SVD_MAX_N points) one d = 3 Gram
+        # costs less than three d = 1 Grams
+        table = run_experiment(
+            small_config(
+                n_list=(100,),
+                dim=3,
+                methods=("operator", "operator-max"),
+                replicates=3,
+            )
+        )
+        report = timing_report(table)
+        assert report[(100, 3, "operator")] <= report[(100, 3, "operator-max")]
+
+    def test_max_univariate_faster_above_the_crossover(self):
+        # above it the d = 1 factors have rank about 30, the d = 3 factor
+        # nearly N: three univariate estimates cost less than one in d = 3
         table = run_experiment(
             small_config(
                 n_list=(400,),
@@ -240,7 +258,7 @@ class TestRunExperiment:
             )
         )
         report = timing_report(table)
-        assert report[(400, 3, "operator")] <= report[(400, 3, "operator-max")]
+        assert report[(400, 3, "operator-max")] < report[(400, 3, "operator")]
 
     def test_success_monotone_in_n(self):
         table = run_experiment(

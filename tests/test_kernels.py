@@ -15,6 +15,8 @@ from hmmorder.kernels import (
     KernelSpec,
     cross_gram,
     cross_gram_matrix,
+    gram_column,
+    gram_diagonal,
     kernel_eval,
     kernel_l2_norm_sq,
     select_bandwidth,
@@ -368,6 +370,87 @@ class TestBlockedGram:
         assert w.nbytes == 8 * n * n
         # the full-matrix form peaks at about six N x N arrays
         assert peak <= w.nbytes + 8 * (8 * GRAM_BLOCK * n)
+
+
+class TestGramColumns:
+    """Single Gram columns and the diagonal, for the factor path."""
+
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_columns_match_the_dense_gram(self, case):
+        spec, kind = GRAM_CASES[case]
+        n = 2 * GRAM_BLOCK + 3
+        pts = gram_points(np.random.default_rng(31), n, spec.dim, kind)
+        w = cross_gram_matrix(spec, pts)
+        tol = dict(rtol=1e-12, atol=1e-15 * np.max(w))
+        for j in (0, GRAM_BLOCK, n - 1):
+            assert np.allclose(gram_column(spec, pts, j), w[:, j], **tol)
+        assert np.allclose(gram_diagonal(spec, pts), np.diag(w), **tol)
+
+    @pytest.mark.parametrize("shift", [1e3, 1e5])
+    def test_gaussian_column_ignores_a_common_shift(self, shift):
+        # direct differences cancel the shift; |a|^2 + |b|^2 - 2 a.b
+        # would leave rounding of order eps * shift^2 in each distance
+        spec = KernelSpec("gaussian", 0.4, dim=2)
+        pts = gram_points(np.random.default_rng(32), 50, 2, "linear")
+        for j in (0, 49):
+            got = gram_column(spec, pts + shift, j)
+            assert np.allclose(got, gram_column(spec, pts, j), rtol=1e-9, atol=0.0)
+
+    def test_vonmises_column_keeps_relative_accuracy_at_high_concentration(self):
+        # at kappa = 1.1e5 the row fill's 2 * kappa * (c - 1) multiplies
+        # the rounding of c by kappa (1.2e-11 relative here); the column
+        # is checked against c - 1 formed in extended precision
+        spec = KernelSpec("vonmises", 0.003)
+        kap = spec.concentration
+        ang = 1.0 + 0.004 * np.random.default_rng(5).standard_normal(200)
+        wide = ang.astype(np.longdouble)
+        for j in (0, 7):
+            c = np.abs(np.cos(0.5 * (wide - wide[j])))
+            ref = i0e(2.0 * kap * c.astype(float)) * np.exp(2.0 * kap * (c - 1)).astype(float)
+            ref /= 2.0 * np.pi * float(i0e(kap)) ** 2
+            col = gram_column(spec, ang[:, None], j)
+            assert np.max(np.abs(col / ref - 1.0)) <= 1e-13
+
+    def test_custom_kernel_called_once_per_entry(self):
+        calls = []
+
+        def fn(a, b, h):
+            calls.append((float(a[0]), float(b[0])))
+            return gaussian_cross(a, b, h)
+
+        n = 7
+        pts = np.arange(n, dtype=float)[:, None]
+        kernel = CustomKernel(cross_gram_fn=fn, bandwidth=3.0)
+        gram_column(kernel, pts, 4)
+        assert calls == [(i, 4) for i in range(n)]
+        calls.clear()
+        gram_diagonal(kernel, pts)
+        assert calls == [(i, i) for i in range(n)]
+
+    @pytest.mark.parametrize("case", ["gaussian-d1", "vonmises"])
+    def test_non_finite_value_is_reported(self, case):
+        spec, kind = GRAM_CASES[case]
+        pts = gram_points(np.random.default_rng(33), 20, spec.dim, kind)
+        pts[5, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="points 5 and 2 "):
+            gram_column(spec, pts, 2)
+        with pytest.raises(FloatingPointError, match="points 0 and 5 "):
+            gram_column(spec, pts, 5)
+
+    def test_custom_non_finite_value_is_reported(self):
+        def fn(a, b, h):
+            return np.nan if a[0] == 5.0 else 1.0
+
+        pts = np.arange(20, dtype=float)[:, None]
+        kernel = CustomKernel(cross_gram_fn=fn, bandwidth=1.0)
+        with pytest.raises(FloatingPointError, match="points 5 and 2 "):
+            gram_column(kernel, pts, 2)
+        with pytest.raises(FloatingPointError, match="points 5 and 5 "):
+            gram_diagonal(kernel, pts)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="points must be"):
+            gram_column(KernelSpec("gaussian", 0.5, dim=2), np.zeros((4, 3)), 0)
 
 
 class TestKernelNorms:
