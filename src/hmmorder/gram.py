@@ -1,22 +1,20 @@
 """Gram matrix of the smoothing kernels, its factors, and the pair
-matrices whose singular values are the spectrum of the smoothed pair
+product whose singular values are the spectrum of the smoothed pair
 operator.
 
 For observations y_1..y_N (pooled over sequences) the Gram matrix is
 W[i, j] = phi_h(y_i, y_j).  The pair selectors (first_k, second_k)
 range over the n within-sequence consecutive pairs.  For any factor F
-with F F^T = W the k x k pair-moment matrix
+with F F^T = W the pair product
 
-    P = (1/n) * F[first]^T @ F[second]
+    P = (1/n) * F[second]^T @ F[first]
 
 has exactly the nonzero singular values of the empirical smoothed pair
-operator.  ``estimate_operator_matrix`` takes one of two factors,
-split at N = FULL_SVD_MAX_N points:
+operator.  ``estimate_operator_matrix`` differs by size only in where
+F comes from, split at N = FULL_SVD_MAX_N points:
 
-* up to it, the dense symmetric square root M = W^(1/2) (F = M, and
-  the N x N shifted product B = (1/n) * M[:, second] @ M[first, :] =
-  (1/n) * M S M with S the pair-shift selector stands in for P^T).  W
-  and M are each one N x N array, built and checked by row blocks.
+* up to it, the dense symmetric square root M = W^(1/2), so that P is
+  the N x N product (1/n) M S M with S the pair-shift selector;
 * above it, a greedy pivoted Cholesky factor of rank k built from k + 1
   kernel columns (``cholesky_factor``), which stops once the largest
   residual diagonal is at the rounding level of W's own entries.  No
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram_matrix, gram_column, gram_diagonal, row_blocks
+from .kernels import KernelSpec, cross_gram_matrix, gram_column, gram_diagonal
 from .series import ObservedSeries
 
 #: one size limit with two uses: above this many points the operator
@@ -119,8 +117,11 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     pivot, evaluates its Gram column and subtracts the part the
     previous columns explain.  It stops once the largest residual
     diagonal is at most N * eps * max diag W, the rounding level of
-    W's own entries.  A residual diagonal below psd_sqrt's floor,
-    -1e-12 * max diag W, raises ``LinAlgError``: W is not PSD.  The
+    W's own entries.  ``LinAlgError`` says W is not PSD when a
+    residual diagonal lies below psd_sqrt's floor, -1e-12 * max diag W,
+    or when the residual column W[:, p] - F F[p]^T at the stopping
+    pivot p exceeds the stop level plus 1e-12 * max diag W; a zero
+    diagonal with nonzero off-diagonal entries shows only there.  The
     cost is k + 1 kernel columns and O(N k^2) operations, and W is
     never formed.  Harbrecht, Peters & Schneider (2012).
     """
@@ -133,14 +134,14 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     # rows[k] is column k of F, so each update reads one contiguous block
     rows = np.empty((min(n, 64), n))
     k = 0
-    while k < n:
+    while True:
         p = int(np.argmax(resid))
-        if resid[p] <= stop:
+        col = gram_column(kernel, pts, p)
+        col -= rows[:k].T @ rows[:k, p]
+        if k == n or resid[p] <= stop:
             break
         if k == rows.shape[0]:
             rows = np.concatenate([rows, np.empty((min(k, n - k), n))])
-        col = gram_column(kernel, pts, p)
-        col -= rows[:k].T @ rows[:k, p]
         col /= np.sqrt(resid[p])
         rows[k] = col
         resid -= col * col
@@ -150,13 +151,12 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"matrix is not PSD: residual diagonal {np.min(resid):.6e} below {floor:.6e}"
         )
+    off, limit = float(np.max(np.abs(col))), stop - floor
+    if off > limit:
+        raise np.linalg.LinAlgError(
+            f"matrix is not PSD: residual column {off:.6e} above {limit:.6e}"
+        )
     return rows[:k].T
-
-
-def pair_moments(factor: np.ndarray, sel: PairSelectors) -> np.ndarray:
-    """k x k matrix (1/n) F[first]^T F[second] whose singular values
-    equal those of the empirical smoothed pair operator."""
-    return factor[sel.first].T @ factor[sel.second] / sel.n_pairs
 
 
 def psd_sqrt(w: np.ndarray) -> np.ndarray:
@@ -165,14 +165,13 @@ def psd_sqrt(w: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-12 * max(1, lam_max), 0) are treated as round-off
     and clamped to zero; anything lower raises, since a genuinely
     indefinite matrix signals a kernel or bandwidth bug.  A non-finite
-    entry fails the symmetry check with ``ValueError``.  The symmetry
-    check and the final symmetrisation 0.5 * (m + m.T) run over blocks
-    of ``GRAM_BLOCK`` rows, so neither allocates an N x N temporary.
+    entry fails the symmetry check with ``ValueError``.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"matrix must be square, got {w.shape}")
-    asym, w_max = _max_asymmetry(w)
+    asym = np.max(np.abs(w - w.T), initial=0.0)
+    w_max = np.max(np.abs(w), initial=0.0)
     # written so that a NaN asymmetry (a non-finite entry) also fails
     if not asym <= 1e-10 * max(1.0, w_max):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
@@ -185,35 +184,16 @@ def psd_sqrt(w: np.ndarray) -> np.ndarray:
         )
     lam = np.clip(lam, 0.0, None)
     m = (q * np.sqrt(lam)) @ q.T
-    _symmetrise(m)
-    return m
+    return 0.5 * (m + m.T)
 
 
-def _max_asymmetry(w: np.ndarray):
-    """max |w - w.T| (over the upper trapezoid of each row block) and
-    max |w|, both NaN if any entry is NaN."""
-    asym = w_max = np.float64(0.0)
-    for a, b in row_blocks(w.shape[0]):
-        asym = np.maximum(asym, np.max(np.abs(w[a:b, a:] - w[a:, a:b].T)))
-        w_max = np.maximum(w_max, np.max(np.abs(w[a:b])))
-    return asym, w_max
-
-
-def _symmetrise(m: np.ndarray) -> None:
-    """m <- 0.5 * (m + m.T) in place; m_ij + m_ji == m_ji + m_ij exactly,
-    so both triangles get the same bits as the full-matrix form."""
-    for a, b in row_blocks(m.shape[0]):
-        upper = 0.5 * (m[a:b, a:] + m[a:, a:b].T)
-        m[a:b, a:] = upper
-        m[a:, a:b] = upper.T
-
-
-def build_shifted_product(gram_sqrt: np.ndarray, sel: PairSelectors) -> np.ndarray:
-    """Full N x N matrix (1/n) M S M whose singular values equal those
-    of the empirical smoothed pair operator."""
-    m = np.asarray(gram_sqrt, dtype=float)
-    n = sel.n_pairs
-    return m[:, sel.second] @ m[sel.first, :] / n
+def build_shifted_product(factor: np.ndarray, sel: PairSelectors) -> np.ndarray:
+    """Pair product (1/n) F[second]^T F[first] of a factor F with
+    F F^T = W, whose singular values equal those of the empirical
+    smoothed pair operator.  For the symmetric square root M it is the
+    N x N matrix (1/n) M S M."""
+    f = np.asarray(factor, dtype=float)
+    return f[sel.second].T @ f[sel.first] / sel.n_pairs
 
 
 def singular_spectrum(v: np.ndarray, l_max: int = DEFAULT_L_MAX) -> SingularSpectrum:
@@ -297,15 +277,19 @@ def estimate_operator_matrix(
     series: ObservedSeries, kernel: KernelSpec, l_max: int = DEFAULT_L_MAX
 ) -> SingularSpectrum:
     """Singular spectrum of the empirical smoothed pair operator of a
-    series: from the shifted product of the Gram square root up to
-    FULL_SVD_MAX_N points, from the pair moments of the pivoted
-    Cholesky factor above it.  Singular values past the factor's rank
-    are exactly zero and are stored as such."""
-    sel = build_selectors(series)
+    series: the pair product of the Gram square root up to
+    FULL_SVD_MAX_N points, of the pivoted Cholesky factor above it.
+    Singular values past the factor's rank are exactly zero and are
+    stored as such."""
     if series.n_points <= FULL_SVD_MAX_N:
-        m = psd_sqrt(build_gram(series, kernel))
-        return singular_spectrum(build_shifted_product(m, sel), l_max=l_max)
-    spec = singular_spectrum(pair_moments(cholesky_factor(series, kernel), sel), l_max=l_max)
+        factor = psd_sqrt(build_gram(series, kernel))
+    else:
+        factor = cholesky_factor(series, kernel)
+    product = build_shifted_product(factor, build_selectors(series))
+    # free the factor before the SVD: held through it, the N x k buffer
+    # raised peak RSS by up to 7 MB on n = 1000, d = 3 series
+    del factor
+    spec = singular_spectrum(product, l_max=l_max)
     missing = min(l_max, series.n_points) - spec.sigma.size
     if missing <= 0:
         return spec

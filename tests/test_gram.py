@@ -1,5 +1,5 @@
 """Gram pipeline: selectors, PSD square root, pivoted Cholesky factor,
-shifted product and pair moments, spectra."""
+pair product, spectra."""
 
 import tracemalloc
 
@@ -18,7 +18,6 @@ from hmmorder.gram import (
 )
 from hmmorder.estimator import count_exceedances, estimate_order, tail_stats
 from hmmorder.kernels import (
-    GRAM_BLOCK,
     BandwidthRule,
     CustomKernel,
     KernelSpec,
@@ -29,7 +28,7 @@ from hmmorder.kernels import (
 from hmmorder.series import ObservedSeries
 from hmmorder.simulate import get_scenario, simulate
 
-from test_kernels import BLOCK_EDGE_SIZES, cross_gram_matrix_full, gaussian_cross
+from test_kernels import EDGE_SIZES, cross_gram_matrix_full, gaussian_cross
 
 
 def psd_sqrt_full(w):
@@ -43,6 +42,13 @@ def psd_sqrt_full(w):
     lam = np.clip(lam, 0.0, None)
     m = (q * np.sqrt(lam)) @ q.T
     return 0.5 * (m + m.T)
+
+
+def shifted_product_full(m, sel):
+    """Reference N x N product (1/n) M S M of the symmetric square root,
+    with M's columns picked by the second and its rows by the first
+    member of each pair."""
+    return m[:, sel.second] @ m[sel.first, :] / sel.n_pairs
 
 
 def random_series(rng, n_points, dim=1, kind="linear"):
@@ -168,17 +174,18 @@ class TestPsdSqrt:
             psd_sqrt(w)
 
     def test_rejects_nan_beyond_one_block(self):
-        n = 2 * GRAM_BLOCK + 3
+        n = 131
         w = np.eye(n)
-        w[n - 1, GRAM_BLOCK] = w[GRAM_BLOCK, n - 1] = np.nan
+        w[n - 1, 64] = w[64, n - 1] = np.nan
         with pytest.raises(ValueError, match="not symmetric"):
             psd_sqrt(w)
 
 
 class TestBlockedPsdSqrt:
-    """Row-block check and symmetrisation against the full-matrix form."""
+    """The square root, its symmetry check and its message against the
+    full-matrix reference."""
 
-    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("n", EDGE_SIZES)
     @pytest.mark.parametrize("family", ["gaussian", "vonmises"])
     def test_bit_identical_to_full_matrix(self, family, n):
         pts = np.random.default_rng(n).uniform(0, 2 * np.pi, (n, 1))
@@ -188,7 +195,7 @@ class TestBlockedPsdSqrt:
         assert np.array_equal(m, m.T)
 
     def test_exactly_symmetric_beyond_one_block(self):
-        n = 2 * GRAM_BLOCK + 3
+        n = 131
         a = np.random.default_rng(16).standard_normal((n, n))
         w = a.T @ a
         w = 0.5 * (w + w.T)
@@ -199,14 +206,14 @@ class TestBlockedPsdSqrt:
     @pytest.mark.parametrize(
         "i, j",
         [
-            (2 * GRAM_BLOCK + 2, 2 * GRAM_BLOCK + 1),  # inside the last row block
-            (2 * GRAM_BLOCK + 2, 0),  # last row, first column
-            (GRAM_BLOCK - 1, GRAM_BLOCK),  # straddles a block boundary
-            (GRAM_BLOCK, GRAM_BLOCK - 1),
+            (130, 129),  # last row, next to the diagonal
+            (130, 0),  # last row, first column
+            (63, 64),  # above the diagonal
+            (64, 63),  # below it
         ],
     )
     def test_rejects_single_asymmetric_entry_at_block_edges(self, i, j):
-        n = 2 * GRAM_BLOCK + 3
+        n = 131
         w = np.eye(n)
         w[i, j] += 1e-3
         with pytest.raises(ValueError, match="not symmetric") as got:
@@ -217,8 +224,9 @@ class TestBlockedPsdSqrt:
 
 
 class TestEstimateMatchesFullMatrix:
-    # n = 50 takes the dense path; above FULL_SVD_MAX_N points the
-    # estimate takes the factor path, checked by TestFactorPath
+    # n = 50 takes the dense path, whose bits the full-matrix references
+    # pin; above FULL_SVD_MAX_N points the estimate takes the factor
+    # path, checked by TestFactorPath
     @pytest.mark.parametrize("n", [50])
     @pytest.mark.parametrize("scenario", ["gauss-shift", "vm3"])
     def test_r_values_bit_identical(self, monkeypatch, scenario, n):
@@ -228,13 +236,14 @@ class TestEstimateMatchesFullMatrix:
         est = estimate_order(series)
         monkeypatch.setattr(gram_mod, "cross_gram_matrix", cross_gram_matrix_full)
         monkeypatch.setattr(gram_mod, "psd_sqrt", psd_sqrt_full)
+        monkeypatch.setattr(gram_mod, "build_shifted_product", shifted_product_full)
         ref = estimate_order(series)
         assert np.array_equal(est.r_values, ref.r_values)
         assert est.tau == ref.tau and est.l_hat == ref.l_hat
 
 
 def dense_oracle_r(series, kernel, l_max=10):
-    """r_l from the dense square root, shifted product and spectrum,
+    """r_l from the dense square root, pair product and spectrum,
     called directly whatever the size of the series."""
     m = psd_sqrt(build_gram(series, kernel))
     spec = singular_spectrum(build_shifted_product(m, build_selectors(series)), l_max)
@@ -246,6 +255,14 @@ def indefinite_cross(a, b, h):
     transform is negative at high frequencies."""
     sq = float(np.sum((a - b) ** 2))
     return np.exp(-sq / (4 * h * h)) - 0.9 * np.exp(-sq / (1.2 * h * h))
+
+
+def zero_diagonal_cross(a, b, h):
+    """Zero on the diagonal, exp(-|a - b|^2) off it: W has an eigenvalue
+    near -1 that no residual diagonal shows."""
+    if np.array_equal(a, b):
+        return 0.0
+    return float(np.exp(-np.sum((a - b) ** 2)))
 
 
 class TestFactorPath:
@@ -282,17 +299,36 @@ class TestFactorPath:
         with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
             psd_sqrt(build_gram(series, kernel))
 
+    def test_zero_diagonal_custom_kernel_raises(self):
+        # every residual diagonal is 0 <= the stop level from the start,
+        # so only the residual column at the stopping pivot shows W is
+        # not PSD
+        series, _ = simulate(get_scenario("gauss-shift"), 300, seed=2)
+        kernel = CustomKernel(cross_gram_fn=zero_diagonal_cross, bandwidth=0.5)
+        with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
+            estimate_order(series, kernel=kernel)
+        with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
+            psd_sqrt(build_gram(series, kernel))
+
     def test_never_takes_the_dense_path(self, monkeypatch):
         import hmmorder.gram as gram_mod
 
         def dense(*args):
             raise AssertionError("dense path called above FULL_SVD_MAX_N")
 
-        for name in ("cross_gram_matrix", "psd_sqrt", "build_shifted_product"):
+        for name in ("cross_gram_matrix", "psd_sqrt"):
             monkeypatch.setattr(gram_mod, name, dense)
+        columns = []
+
+        def product(factor, sel):
+            columns.append(factor.shape[1])
+            return build_shifted_product(factor, sel)
+
+        monkeypatch.setattr(gram_mod, "build_shifted_product", product)
         # n pairs are n + 1 points: the smallest series on the factor path
         series, _ = simulate(get_scenario("vm3"), FULL_SVD_MAX_N, seed=0)
         assert np.all(np.isfinite(estimate_order(series).r_values))
+        assert len(columns) == 1 and columns[0] < series.n_points
 
     def test_peak_memory_far_below_one_gram(self):
         series, _ = simulate(get_scenario("gauss-shift"), 2000, seed=0)

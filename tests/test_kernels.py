@@ -1,7 +1,5 @@
 """Kernel closed forms against quadrature, and bandwidth rules."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,7 +7,6 @@ from scipy.special import i0e
 
 from hmmorder.kernels import (
     GAUSSIAN_L2_SQ,
-    GRAM_BLOCK,
     BandwidthRule,
     CustomKernel,
     KernelSpec,
@@ -271,7 +268,8 @@ class TestCustomKernel:
         assert np.allclose(w, ref, rtol=1e-12)
 
 
-BLOCK_EDGE_SIZES = (1, 2, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 3)
+#: Gram sizes the full-matrix references are checked at
+EDGE_SIZES = (1, 2, 63, 64, 65, 131)
 
 GRAM_CASES = {
     "gaussian-d1": (KernelSpec("gaussian", 0.4), "linear"),
@@ -289,9 +287,9 @@ def gram_points(rng, n, dim, kind):
 
 
 class TestBlockedGram:
-    """The row-block Gram against the full-matrix reference."""
+    """The Gram against the full-matrix reference."""
 
-    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("n", EDGE_SIZES)
     @pytest.mark.parametrize("case", sorted(GRAM_CASES))
     def test_bit_identical_to_full_matrix(self, case, n):
         spec, kind = GRAM_CASES[case]
@@ -308,7 +306,7 @@ class TestBlockedGram:
             calls.append((float(a[0]), float(b[0])))
             return gaussian_cross(a, b, h)
 
-        n = GRAM_BLOCK + 5
+        n = 69
         pts = np.arange(n, dtype=float)[:, None]
         cross_gram_matrix(CustomKernel(cross_gram_fn=fn, bandwidth=3.0), pts)
         assert calls == [(i, j) for i in range(n) for j in range(i, n)]
@@ -326,11 +324,11 @@ class TestBlockedGram:
         assert np.array_equal(w, cross_gram_matrix_full(kernel, pts))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("where", [0, GRAM_BLOCK - 1, GRAM_BLOCK + 5, "last"])
+    @pytest.mark.parametrize("where", [0, 63, 69, "last"])
     @pytest.mark.parametrize("case", ["gaussian-d1", "gaussian-d2", "vonmises"])
     def test_non_finite_point_reports_same_pair(self, case, where):
         spec, kind = GRAM_CASES[case]
-        n = 2 * GRAM_BLOCK + 3
+        n = 131
         pts = gram_points(np.random.default_rng(3), n, spec.dim, kind)
         pts[n - 1 if where == "last" else where, 0] = np.inf
         with pytest.raises(FloatingPointError) as want:
@@ -340,8 +338,8 @@ class TestBlockedGram:
         assert str(got.value) == str(want.value)
 
     def test_custom_non_finite_reports_first_upper_pair(self):
-        n = 2 * GRAM_BLOCK + 3
-        bad = {(GRAM_BLOCK + 2, 2 * GRAM_BLOCK), (GRAM_BLOCK - 1, GRAM_BLOCK + 1)}
+        n = 131
+        bad = {(66, 128), (63, 65)}
 
         def fn(a, b, h):
             if (int(a[0]), int(b[0])) in bad:
@@ -349,27 +347,8 @@ class TestBlockedGram:
             return 1.0
 
         pts = np.arange(n, dtype=float)[:, None]
-        with pytest.raises(
-            FloatingPointError,
-            match=f"points {GRAM_BLOCK - 1} and {GRAM_BLOCK + 1} ",
-        ):
+        with pytest.raises(FloatingPointError, match="points 63 and 65 "):
             cross_gram_matrix(CustomKernel(cross_gram_fn=fn, bandwidth=1.0), pts)
-
-    @pytest.mark.parametrize("case", ["gaussian-d1", "vonmises"])
-    def test_peak_memory_one_output_plus_blocks(self, case):
-        spec, kind = GRAM_CASES[case]
-        n = 1500
-        pts = gram_points(np.random.default_rng(11), n, spec.dim, kind)
-        cross_gram_matrix(spec, pts[:10])  # loads scipy outside the trace
-        tracemalloc.start()
-        try:
-            w = cross_gram_matrix(spec, pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert w.nbytes == 8 * n * n
-        # the full-matrix form peaks at about six N x N arrays
-        assert peak <= w.nbytes + 8 * (8 * GRAM_BLOCK * n)
 
 
 class TestGramColumns:
@@ -378,11 +357,11 @@ class TestGramColumns:
     @pytest.mark.parametrize("case", sorted(GRAM_CASES))
     def test_columns_match_the_dense_gram(self, case):
         spec, kind = GRAM_CASES[case]
-        n = 2 * GRAM_BLOCK + 3
+        n = 131
         pts = gram_points(np.random.default_rng(31), n, spec.dim, kind)
         w = cross_gram_matrix(spec, pts)
         tol = dict(rtol=1e-12, atol=1e-15 * np.max(w))
-        for j in (0, GRAM_BLOCK, n - 1):
+        for j in (0, 64, n - 1):
             assert np.allclose(gram_column(spec, pts, j), w[:, j], **tol)
         assert np.allclose(gram_diagonal(spec, pts), np.diag(w), **tol)
 
