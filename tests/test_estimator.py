@@ -291,6 +291,15 @@ class TestFactorPathRobustness:
         assert est.l_hat == base.l_hat
         assert np.max(np.abs(est.r_values - base.r_values)) <= 1e-6 * base.r_values[0]
 
+    def test_translation_leaves_the_d3_estimate_unchanged(self):
+        # rank about 520 of 601: the factor compacts eight times, where
+        # the d = 1 case above stops near rank 30
+        series, _ = simulate(get_scenario("gauss-shift", dim=3), 600, seed=0)
+        moved = ObservedSeries(sequences=tuple(seq + 1e3 for seq in series.sequences))
+        base, est = estimate_order(series), estimate_order(moved)
+        assert est.l_hat == base.l_hat
+        assert np.max(np.abs(est.r_values - base.r_values)) <= 1e-6 * base.r_values[0]
+
     def test_small_vonmises_bandwidth(self):
         # kappa = h^-2 = 1.1e5: the row fill's rounding made W indefinite
         # beyond psd_sqrt's floor

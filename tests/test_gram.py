@@ -8,6 +8,7 @@ import pytest
 
 from hmmorder.gram import (
     FULL_SVD_MAX_N,
+    PairSelectors,
     build_gram,
     build_selectors,
     build_shifted_product,
@@ -23,6 +24,8 @@ from hmmorder.kernels import (
     KernelSpec,
     cross_gram,
     cross_gram_matrix,
+    gram_column,
+    gram_diagonal,
     select_bandwidth,
 )
 from hmmorder.series import ObservedSeries
@@ -362,6 +365,118 @@ class TestFactorPath:
         assert tail_stats(spec, 5)[1] == pytest.approx(0.0, abs=1e-7 * spec.sigma[0])
 
 
+def cholesky_factor_reference(series, kernel):
+    """Greedy pivoted Cholesky that updates every point at every pivot:
+    the same pivot rule, stop rule and PSD checks as ``cholesky_factor``
+    without its compaction, one checked ``gram_column`` per pivot."""
+    pts = series.points
+    n = pts.shape[0]
+    resid = gram_diagonal(kernel, pts).copy()
+    d_max = float(np.max(resid))
+    stop = n * np.finfo(float).eps * d_max
+    rows = np.empty((n, n))
+    k = 0
+    while True:
+        p = int(np.argmax(resid))
+        col = gram_column(kernel, pts, p)
+        col -= rows[:k].T @ rows[:k, p]
+        if k == n or resid[p] <= stop:
+            break
+        col /= np.sqrt(resid[p])
+        rows[k] = col
+        resid -= col * col
+        k += 1
+    floor = -1e-12 * d_max
+    if np.min(resid) < floor or np.max(np.abs(col)) > stop - floor:
+        raise np.linalg.LinAlgError("matrix is not PSD")
+    return rows[:k].T
+
+
+def factor_r(factor, series, l_max=10):
+    """r_l from a given factor's pair product."""
+    spec = singular_spectrum(build_shifted_product(factor, build_selectors(series)), l_max)
+    return tail_stats(spec, l_max)
+
+
+def late_pair_kernel(value):
+    """A CustomKernel on the points 10 * i whose Gram is the identity
+    but for points 70 and 90: diagonals 0.3 and 0.25, and ``value``
+    between them.  Every other point has the larger residual diagonal,
+    so these two are the last pivots, after two compactions."""
+
+    def cross(a, b, h):
+        x, y = float(a[0]), float(b[0])
+        if {x, y} == {700.0, 900.0}:
+            return value
+        if x == y:
+            return {700.0: 0.3, 900.0: 0.25}.get(x, 1.0)
+        return float(np.exp(-((x - y) ** 2)))
+
+    return CustomKernel(cross_gram_fn=cross, bandwidth=1.0)
+
+
+LATE_PAIR_SERIES = ObservedSeries.from_points(10.0 * np.arange(150))
+
+
+class TestCompaction:
+    """Across the compaction boundary: ranks far above the 64 pivots
+    between two compactions."""
+
+    @pytest.mark.parametrize(
+        "scenario, dim, n, bandwidth",
+        [("gauss-shift", 3, 600, None), ("vm3", 1, 1000, 0.003)],
+        ids=["gauss-shift-d3", "vm3-h0.003"],
+    )
+    def test_matches_the_uncompacted_loop(self, scenario, dim, n, bandwidth):
+        series, _ = simulate(get_scenario(scenario, dim=dim), n, seed=0)
+        h = bandwidth or select_bandwidth(BandwidthRule(), series)
+        kernel = KernelSpec("vonmises" if scenario == "vm3" else "gaussian", h, dim)
+        f, ref = cholesky_factor(series, kernel), cholesky_factor_reference(series, kernel)
+        assert ref.shape[1] > 4 * 64
+        assert abs(f.shape[1] - ref.shape[1]) <= 1
+        w_max = float(np.max(gram_diagonal(kernel, series.points)))
+        assert np.max(np.abs(f @ f.T - ref @ ref.T)) <= 1e-12 * w_max
+        r, r_ref = factor_r(f, series), factor_r(ref, series)
+        assert np.max(np.abs(r - r_ref)) <= 1e-9 * r_ref[0]
+
+    def test_pooled_sequences_match_dense_oracle(self):
+        parts = [simulate(get_scenario("gauss-shift", dim=3), 200, seed=s)[0] for s in (1, 2, 3)]
+        series = ObservedSeries(sequences=tuple(p.sequences[0] for p in parts))
+        assert series.n_points > FULL_SVD_MAX_N
+        est = estimate_order(series)
+        kernel = KernelSpec("gaussian", est.bandwidth, 3)
+        assert cholesky_factor(series, kernel).shape[1] > 64
+        ref = dense_oracle_r(series, kernel)
+        assert np.max(np.abs(est.r_values - ref)) <= 1e-9 * ref[0]
+        assert est.l_hat == count_exceedances(ref, est.tau)
+
+    def test_custom_kernel_beyond_one_block_matches_dense_oracle(self):
+        series, _ = simulate(get_scenario("gauss-shift"), 300, seed=2)
+        kernel = CustomKernel(cross_gram_fn=gaussian_cross, bandwidth=0.05)
+        assert cholesky_factor(series, kernel).shape[1] > 64
+        est = estimate_order(series, kernel=kernel)
+        ref = dense_oracle_r(series, kernel)
+        assert np.max(np.abs(est.r_values - ref)) <= 1e-9 * ref[0]
+        assert est.l_hat == count_exceedances(ref, est.tau)
+
+    def test_late_pair_kernel_is_full_rank_when_psd(self):
+        # 0.2^2 < 0.3 * 0.25: the two late pivots are taken, last
+        f = cholesky_factor(LATE_PAIR_SERIES, late_pair_kernel(0.2))
+        assert f.shape[1] == LATE_PAIR_SERIES.n_points
+        w = build_gram(LATE_PAIR_SERIES, late_pair_kernel(0.2))
+        assert np.max(np.abs(f @ f.T - w)) <= 1e-15
+
+    def test_indefinite_after_compaction_raises(self):
+        # 0.5^2 > 0.3 * 0.25: the residual diagonal of point 90 turns
+        # negative at the 149th pivot
+        with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
+            cholesky_factor(LATE_PAIR_SERIES, late_pair_kernel(0.5))
+
+    def test_nan_after_compaction_names_the_original_points(self):
+        with pytest.raises(FloatingPointError, match="points 90 and 70 "):
+            cholesky_factor(LATE_PAIR_SERIES, late_pair_kernel(np.nan))
+
+
 class TestPairMatrices:
     def test_shifted_product_nonzero_spectrum_matches_two_block_form(self):
         # singular values of (1/n) M S M equal those of
@@ -380,6 +495,14 @@ class TestPairMatrices:
         two_block = psd_sqrt(gu) @ psd_sqrt(gv) / n
         s_t = np.linalg.svd(two_block, compute_uv=False)
         assert np.allclose(s_b, s_t, rtol=1e-9, atol=1e-12)
+
+    def test_factor_path_sums_pair_runs(self):
+        f = np.random.default_rng(23).standard_normal((FULL_SVD_MAX_N + 9, 7))
+        sel = PairSelectors(np.r_[0:100, 150:208], np.r_[1:101, 151:209])
+        want = f[sel.second].T @ f[sel.first] / sel.n_pairs
+        assert np.allclose(build_shifted_product(f, sel), want, rtol=1e-13, atol=1e-15)
+        with pytest.raises(ValueError, match="consecutive"):
+            build_shifted_product(f, PairSelectors(sel.first, sel.first + 2))
 
 
 class TestSingularSpectrum:
@@ -493,6 +616,23 @@ class TestKrylovSpectrum:
         spec = singular_spectrum(v, l_max=10)
         assert krylov_results == [None]
         assert np.array_equal(spec.sigma, np.linalg.svd(v, compute_uv=False)[:10])
+
+    def test_clustered_values_give_up_early(self, monkeypatch, krylov_results):
+        # the largest residual shrinks at every check (0.40, 0.094, ...),
+        # but too slowly to reach 1e-14 * theta_1 within 16 blocks
+        import hmmorder.gram as gram_mod
+
+        grown = []
+        complement = gram_mod._orthonormal_complement
+
+        def spy(w, basis):
+            grown.append(basis.shape[1])
+            return complement(w, basis)
+
+        monkeypatch.setattr(gram_mod, "_orthonormal_complement", spy)
+        singular_spectrum(pair_product("vm3", 400, seed=0, bandwidth=1e-3), l_max=10)
+        assert krylov_results == [None]
+        assert 1 + len(grown) < 16
 
     def test_deterministic(self):
         v = KRYLOV_CASES["d1-pair-product"]()
