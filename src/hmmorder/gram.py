@@ -54,7 +54,7 @@ FULL_SVD_MAX_N = 200
 DEFAULT_L_MAX = 10
 
 #: pivots between two compactions of ``cholesky_factor``, and the
-#: width of its first factor buffer
+#: rows of its first factor buffer
 _PIVOT_BLOCK = 64
 
 
@@ -137,15 +137,15 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     pivot p exceeds the stop level plus 1e-12 * max diag W; a zero
     diagonal with nonzero off-diagonal entries shows only there.
 
-    F is built point-major in a permuted point order.  Every
-    ``_PIVOT_BLOCK`` pivots, the block's pivots move to the front and
-    the unpivoted points follow in their original relative order (so
-    ``argmax`` breaks ties by the original index); later columns are
-    evaluated, and updated, on the unpivoted points alone, and their
-    entries on earlier pivots stay zero, the lower-trapezoidal factor
-    of LAPACK's dpstf2.  The permutation is undone once at the end.
-    The cost is k + 1 kernel columns and O(N k^2) operations, and W is
-    never formed.  Harbrecht, Peters & Schneider (2012).
+    The pivots move to the front of one permutation of the points every
+    ``_PIVOT_BLOCK`` pivots, and the unpivoted points follow in their
+    original relative order, so ``argmax`` breaks ties by the original
+    index as without the permutation.  Later columns are evaluated, and
+    updated, on the unpivoted points alone, and their entries on earlier
+    pivots are zero: the lower-trapezoidal factor of LAPACK's dpstf2.
+    The permutation is undone once at the end.  The cost is k + 1
+    kernel columns and O(N k^2) operations, and W is never formed.
+    Harbrecht, Peters & Schneider (2012).
     """
     _check_dim(series, kernel)
     pts = series.points
@@ -154,33 +154,37 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     column = _column_evaluator(kernel)
     d_max = float(np.max(resid))
     stop = n * np.finfo(float).eps * d_max
-    # rows k0: hold the unpivoted points and the pivots taken since the
-    # last compaction, in original order; order[i] names row i's point
+    # rows[k] is column k of F, so each update reads one contiguous block
+    # per column.  Positions k0: hold the unpivoted points and the pivots
+    # taken since the last compaction, in original order, and order[i]
+    # names the point in position i; r, x, names and f view positions k0:
+    rows = np.empty((min(n, _PIVOT_BLOCK), n))
     order = np.arange(n)
-    f = np.zeros((n, min(n, _PIVOT_BLOCK)))
+    r, x, names, f = resid, pts, order, rows
     pivots = []
     k = k0 = 0
     while True:
         if len(pivots) == _PIVOT_BLOCK and k < n:
             rest = np.ones(n - k0, dtype=bool)
-            rest[np.array(pivots) - k0] = False
-            moved = np.concatenate([pivots, k0 + np.flatnonzero(rest)])
-            for a in (pts, order, resid):
-                a[k0:] = a[moved]
-            f[k0:, :k] = f[moved, :k]
+            rest[pivots] = False
+            moved = np.concatenate([pivots, np.flatnonzero(rest)])
+            for a in (r, x, names):
+                a[:] = a[moved]
+            f[:k] = f[:k, moved]
             k0, pivots = k, []
-        p = k0 + int(np.argmax(resid[k0:]))
-        col = _check_column(kernel, column(pts[k0:], pts[p]), order[p], order[k0:])
-        col -= f[k0:, :k] @ f[p, :k]
-        if k == n or resid[p] <= stop:
+            rows[k:, :k0] = 0.0
+            r, x, names, f = resid[k0:], pts[k0:], order[k0:], rows[:, k0:]
+        p = int(np.argmax(r))
+        col = _check_column(kernel, column(x, x[p]), p, names)
+        col -= f[:k].T @ f[:k, p]
+        if k == n or r[p] <= stop:
             break
-        if k == f.shape[1]:
-            grown = np.zeros((n, k + min(k, n - k)))
-            grown[:, :k] = f
-            f = grown
-        col /= np.sqrt(resid[p])
-        f[k0:, k] = col
-        resid[k0:] -= col * col
+        if k == rows.shape[0]:
+            rows = np.concatenate([rows, np.zeros((min(k, n - k), n))])
+            f = rows[:, k0:]
+        col /= np.sqrt(r[p])
+        f[k] = col
+        r -= col * col
         pivots.append(p)
         k += 1
     floor = -1e-12 * d_max
@@ -193,7 +197,8 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"matrix is not PSD: residual column {off:.6e} above {limit:.6e}"
         )
-    return f[np.argsort(order), :k]
+    # without a compaction the order is still the identity
+    return rows[:k, np.argsort(order)].T if k0 else rows[:k].T
 
 
 def psd_sqrt(w: np.ndarray) -> np.ndarray:

@@ -281,11 +281,14 @@ def _column_evaluator(spec) -> Callable:
 
 def _check_column(spec, col: np.ndarray, j, index=None) -> np.ndarray:
     """``col`` if finite, else FloatingPointError naming the first bad
-    pair (i, j), or (i, i) for the diagonal (j None); ``index`` maps
-    positions in ``col`` to point indices when they differ."""
+    pair (i, j), or (i, i) for the diagonal (j None).  With ``index``,
+    i and j are positions in ``col`` and index[i], index[j] the points
+    named."""
     bad = ~np.isfinite(col)
     if bad.any():
-        i = int(np.argmax(bad)) if index is None else int(index[np.argmax(bad)])
+        i = int(np.argmax(bad))
+        if index is not None:
+            i, j = int(index[i]), int(index[j])
         raise FloatingPointError(
             f"non-finite kernel value for points {i} and {i if j is None else j} "
             f"(bandwidth {spec.bandwidth})"
