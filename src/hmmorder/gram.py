@@ -158,13 +158,14 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     # per column.  Positions k0: hold the unpivoted points and the pivots
     # taken since the last compaction, in original order, and order[i]
     # names the point in position i; r, x, names and f view positions k0:
-    rows = np.empty((min(n, _PIVOT_BLOCK), n))
+    block = min(n, _PIVOT_BLOCK)
+    rows = np.empty((block, n))
     order = np.arange(n)
     r, x, names, f = resid, pts, order, rows
     pivots = []
     k = k0 = 0
     while True:
-        if len(pivots) == _PIVOT_BLOCK and k < n:
+        if len(pivots) == block and k < n:
             rest = np.ones(n - k0, dtype=bool)
             rest[pivots] = False
             moved = np.concatenate([pivots, np.flatnonzero(rest)])

@@ -248,17 +248,19 @@ def _column_evaluator(spec) -> Callable:
         return lambda pts, y: np.array([fn(p, y, h) for p in pts], dtype=float)
     if spec.family == GAUSSIAN:
         scale = (4.0 * np.pi * h * h) ** (-spec.dim / 2.0)
+        minus_4h2 = -(4.0 * h * h)
+        coords = range(1, spec.dim)
 
         def gaussian(pts, y):
             # one coordinate at a time, in place: the sum of squares in
             # the order of np.sum over a row, at a third of its cost
             d2 = pts[:, 0] - y[0]
             d2 *= d2
-            for c in range(1, spec.dim):
+            for c in coords:
                 diff = pts[:, c] - y[c]
                 diff *= diff
                 d2 += diff
-            d2 /= -(4.0 * h * h)
+            d2 /= minus_4h2
             np.exp(d2, out=d2)
             d2 *= scale
             return d2
