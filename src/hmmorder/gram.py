@@ -181,8 +181,10 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
         if k == n or r[p] <= stop:
             break
         if k == rows.shape[0]:
-            rows = np.concatenate([rows, np.zeros((min(k, n - k), n))])
-            f = rows[:, k0:]
+            grown = np.empty((k + min(k, n - k), n))
+            grown[:k] = rows
+            grown[k:, :k0] = 0.0
+            rows, f = grown, grown[:, k0:]
         col /= np.sqrt(r[p])
         f[k] = col
         r -= col * col
