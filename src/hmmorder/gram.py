@@ -158,6 +158,7 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     # per column.  Positions k0: hold the unpivoted points and the pivots
     # taken since the last compaction, in original order, and order[i]
     # names the point in position i; r, x, names and f view positions k0:
+    # (series.points is a fresh array, so pts may be permuted in place)
     block = min(n, _PIVOT_BLOCK)
     rows = np.empty((block, n))
     order = np.arange(n)
@@ -173,6 +174,7 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
                 a[:] = a[moved]
             f[:k] = f[:k, moved]
             k0, pivots = k, []
+            # columns not yet written are zero on the compacted pivots
             rows[k:, :k0] = 0.0
             r, x, names, f = resid[k0:], pts[k0:], order[k0:], rows[:, k0:]
         p = int(np.argmax(r))
