@@ -322,9 +322,10 @@ def _krylov_singular_values(v: np.ndarray, k: int):
             resid = np.linalg.norm(v.T @ u[:, :k] - ritz * theta[:k], axis=0)
             if np.all(resid <= 1e-14 * theta[0]):
                 return theta[:k]
-            if size >= max_size or np.max(resid) > 0.1 * last:
+            worst = float(np.max(resid))
+            if size >= max_size or worst > 0.1 * last:
                 return None
-            last = np.max(resid)
+            last = worst
         cols = min(width, max_size - size)
         nxt = _orthonormal_complement(v.T @ images[-1][:, :cols], np.hstack(blocks))
         blocks.append(nxt)

@@ -239,9 +239,10 @@ def gram_column(spec, points: np.ndarray, j: int) -> np.ndarray:
 
 def _column_evaluator(spec) -> Callable:
     """``column(pts, y)``: phi_h(x_i, y) for every row x_i of an (M, d)
-    array and one d-vector y, the arithmetic of ``gram_column`` with the
-    kernel constants computed once and nothing checked, for callers that
-    validated their points and check each column themselves."""
+    array and one d-vector y.  The kernel constants are computed once
+    and nothing is checked: ``gram_column`` adds the checks, and
+    ``gram.cholesky_factor`` validates its points once and checks each
+    column itself."""
     h = spec.bandwidth
     if isinstance(spec, CustomKernel):
         fn = spec.cross_gram_fn
