@@ -3,15 +3,19 @@ product whose singular values are the spectrum of the smoothed pair
 operator.
 
 For observations y_1..y_N (pooled over sequences) the Gram matrix is
-W[i, j] = phi_h(y_i, y_j).  The pair selectors (first_k, second_k)
-range over the n within-sequence consecutive pairs.  For any factor F
-with F F^T = W the pair product
+W[i, j] = phi_h(y_i, y_j).  The pairs are the n within-sequence
+consecutive pairs (t, t + 1).  For any factor F with F F^T = W the pair
+product
 
-    P = (1/n) * F[second]^T @ F[first]
+    P = (1/n) * sum_t F[t + 1]^T F[t]
 
 has exactly the nonzero singular values of the empirical smoothed pair
-operator.  ``estimate_operator_matrix`` differs by size only in where
-F comes from, split at N = FULL_SVD_MAX_N points:
+operator.  ``pair_moments`` is the one walk over the pairs: it sums
+f(y_{t+1}) f(y_t)^T over each sequence in blocks of at most
+``_PAIR_BLOCK`` pairs, whatever the features f.  The operator takes
+the rows of F as features; the spectral baseline takes a cosine basis.
+``estimate_operator_matrix`` differs by size only in where F comes
+from, split at N = FULL_SVD_MAX_N points:
 
 * up to it, the dense symmetric square root M = W^(1/2), so that P is
   the N x N product (1/n) M S M with S the pair-shift selector;
@@ -20,10 +24,9 @@ F comes from, split at N = FULL_SVD_MAX_N points:
   residual diagonal is at the rounding level of W's own entries.
   Every 64 pivots it moves the pivoted points to the front, and later
   columns are evaluated and updated on the points not yet pivoted
-  alone.  P is then summed from contiguous row slices of F, one pair
-  of slices per sequence.  No N x N array is allocated unless k
-  reaches N; the d = 1 Grams have k of 30-70 up to n = 64000, the
-  d = 3 Grams at n = 1000 about 650-720.
+  alone.  No N x N array is allocated unless k reaches N; the d = 1
+  Grams have k of 30-70 up to n = 64000, the d = 3 Grams at n = 1000
+  about 650-720.
 
 Only the leading ``l_max`` singular values are computed and the
 Frobenius mass is summed directly.  Up to FULL_SVD_MAX_N rows they come
@@ -57,25 +60,27 @@ DEFAULT_L_MAX = 10
 #: rows of its first factor buffer
 _PIVOT_BLOCK = 64
 
+#: pairs per block of ``pair_moments``, which therefore holds the
+#: features of at most ``_PAIR_BLOCK + 1`` points at once
+_PAIR_BLOCK = 2048
+
 
 @dataclass(frozen=True, eq=False)
 class PairSelectors:
-    """Point indices of the first and second member of each pair."""
+    """The pooled point range (a, b) of each sequence, whose pairs are
+    (a, a + 1), ..., (b - 2, b - 1)."""
 
-    first: np.ndarray
-    second: np.ndarray
+    runs: tuple
 
     def __post_init__(self):
-        first = np.asarray(self.first, dtype=np.intp)
-        second = np.asarray(self.second, dtype=np.intp)
-        if first.shape != second.shape or first.ndim != 1:
-            raise ValueError("selector index lists must be 1-d and equally long")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        runs = tuple((int(a), int(b)) for a, b in self.runs)
+        if not runs or any(b - a < 2 for a, b in runs):
+            raise ValueError("each sequence needs at least two points")
+        object.__setattr__(self, "runs", runs)
 
     @property
     def n_pairs(self) -> int:
-        return self.first.size
+        return sum(b - a - 1 for a, b in self.runs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,16 +104,29 @@ class SingularSpectrum:
 
 
 def build_selectors(series: ObservedSeries) -> PairSelectors:
-    """Within-sequence consecutive-pair indices into the pooled points."""
-    first, second = [], []
-    offset = 0
-    for seq in series.sequences:
-        m = seq.shape[0]
-        idx = np.arange(offset, offset + m - 1)
-        first.append(idx)
-        second.append(idx + 1)
-        offset += m
-    return PairSelectors(np.concatenate(first), np.concatenate(second))
+    """The pooled point range of each sequence."""
+    ends = np.cumsum([seq.shape[0] for seq in series.sequences]).tolist()
+    return PairSelectors(tuple(zip([0] + ends[:-1], ends)))
+
+
+def pair_moments(sel: PairSelectors, rows) -> np.ndarray:
+    """(1/n) sum_t f(y_{t+1}) f(y_t)^T over the pairs of ``sel``, where
+    ``rows(a, b)`` returns the feature rows of pooled points a..b-1.
+
+    Each sequence is walked in blocks of at most ``_PAIR_BLOCK`` pairs,
+    and consecutive blocks share one point, so every pair is counted
+    once and no pair crosses a sequence boundary.
+    """
+    out = None
+    for a, b in sel.runs:
+        for start in range(a, b - 1, _PAIR_BLOCK):
+            f = rows(start, min(start + _PAIR_BLOCK + 1, b))
+            if out is None:
+                out = f[1:].T @ f[:-1]
+            else:
+                out += f[1:].T @ f[:-1]
+    out /= sel.n_pairs
+    return out
 
 
 def build_gram(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
@@ -235,35 +253,14 @@ def psd_sqrt(w: np.ndarray) -> np.ndarray:
 
 
 def build_shifted_product(factor: np.ndarray, sel: PairSelectors) -> np.ndarray:
-    """Pair product (1/n) F[second]^T F[first] of a factor F with
+    """Pair product (1/n) sum_t F[t + 1]^T F[t] of a factor F with
     F F^T = W, whose singular values equal those of the empirical
     smoothed pair operator.  For the symmetric square root M it is the
-    N x N matrix (1/n) M S M.
-
-    Up to FULL_SVD_MAX_N rows the two row sets are gathered, which
-    keeps the dense path's bits.  Above it the product is summed over
-    the contiguous runs of consecutive pairs, F[a+1:b]^T F[a:b-1] for
-    the points a..b-1 of each run, and no N x k copy is made.
+    N x N matrix (1/n) M S M.  The rows of F are summed by
+    ``pair_moments`` from contiguous slices, so no copy of F is made.
     """
     f = np.asarray(factor, dtype=float)
-    if f.shape[0] <= FULL_SVD_MAX_N:
-        return f[sel.second].T @ f[sel.first] / sel.n_pairs
-    (a, b), *rest = _pair_runs(sel)
-    out = f[a + 1 : b].T @ f[a : b - 1]
-    for a, b in rest:
-        out += f[a + 1 : b].T @ f[a : b - 1]
-    out /= sel.n_pairs
-    return out
-
-
-def _pair_runs(sel: PairSelectors) -> list:
-    """(a, b) for each maximal run of pairs (a, a+1), ..., (b-2, b-1)."""
-    if sel.n_pairs == 0 or not np.array_equal(sel.second, sel.first + 1):
-        raise ValueError("pairs must be runs of consecutive points (i, i + 1)")
-    cut = np.flatnonzero(np.diff(sel.first) != 1) + 1
-    starts = sel.first[np.concatenate([[0], cut])]
-    ends = sel.first[np.concatenate([cut - 1, [sel.n_pairs - 1]])] + 2
-    return list(zip(starts.tolist(), ends.tolist(), strict=True))
+    return pair_moments(sel, lambda a, b: f[a:b])
 
 
 def singular_spectrum(v: np.ndarray, l_max: int = DEFAULT_L_MAX) -> SingularSpectrum:

@@ -1,7 +1,7 @@
 """Loading observed series from text files and exporting diagnostics.
 
-The on-disk format is one observation per line with ``d`` numeric
-columns, whitespace- or comma-separated.  Multi-sequence files carry a
+The on-disk format is one observation per line with ``d`` finite
+numeric columns, whitespace- or comma-separated.  Multi-sequence files carry a
 leading integer sequence-id column followed by ``d`` value columns
 (a non-integral id is a ``DataError``); rows are grouped by id in
 order of appearance.  Angle layouts hold one angle per line, in
@@ -9,6 +9,7 @@ degrees or radians, and are converted to radians in [0, 2*pi) on
 load.  Every layout reads exactly ``d`` value columns.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +51,8 @@ class DatasetDescriptor:
 
 
 def _parse_rows(path: Path) -> list:
-    """Numeric rows with their 1-based line numbers."""
+    """Numeric rows with their 1-based line numbers; a field that is not
+    a finite number is a ``DataError`` naming its line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -59,9 +61,12 @@ def _parse_rows(path: Path) -> list:
                 continue
             fields = stripped.replace(",", " ").split()
             try:
-                rows.append((lineno, [float(f) for f in fields]))
+                values = [float(f) for f in fields]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric field in {stripped!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path}:{lineno}: non-finite field in {stripped!r}")
+            rows.append((lineno, values))
     if not rows:
         raise DataError(f"{path}: file contains no data rows")
     return rows

@@ -12,9 +12,9 @@ singular values against their index.
 
 The basis takes one ``cos`` and one ``sin`` pass over ``pi * y``; the
 higher frequencies follow from the angle-addition recurrence, whose
-error grows linearly in k.  The moment matrix is summed over blocks of
-at most ``_PAIR_BLOCK`` pairs, so the basis never holds more than
-``_PAIR_BLOCK + 1`` points at once.
+error grows linearly in k.  The moment matrix is the transpose of
+``gram.pair_moments`` over the basis, the same walk over the pairs as
+the operator estimator's pair product: only the features differ.
 
 phi_k does not depend on M, so the moment matrix for a basis of size
 M is the leading M x M block of the one for any larger basis.
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gram import build_selectors, pair_moments
 from .series import LINEAR, ObservedSeries
 
 #: a singular value is significant above this multiple of the fitted line
@@ -75,10 +76,6 @@ def scale_to_unit(series: ObservedSeries) -> ObservedSeries:
     )
 
 
-#: pairs per block of ``build_nhat``; bounds the basis at O(block * M)
-_PAIR_BLOCK = 2048
-
-
 def basis_matrix(values: np.ndarray, n_basis: int) -> np.ndarray:
     """Trigonometric basis phi_0 = 1, phi_k = sqrt(2) cos(pi k y) for
     k = 1..n_basis-1, one row per point.
@@ -106,17 +103,13 @@ def basis_matrix(values: np.ndarray, n_basis: int) -> np.ndarray:
 
 
 def build_nhat(series: ObservedSeries, n_basis: int) -> np.ndarray:
-    """Pairwise basis moment matrix over within-sequence pairs."""
+    """Pairwise basis moment matrix (1/n) sum_t phi(y_t) phi(y_{t+1})^T
+    over within-sequence pairs."""
     if series.dim != 1:
         raise ValueError("the spectral baseline handles univariate data only")
-    nhat = np.zeros((n_basis, n_basis))
-    for seq in series.sequences:
-        y = seq[:, 0]
-        # consecutive blocks share one point, so each pair is counted once
-        for a in range(0, y.size - 1, _PAIR_BLOCK):
-            block = basis_matrix(y[a : a + _PAIR_BLOCK + 1], n_basis)
-            nhat += block[:-1].T @ block[1:]
-    return nhat / series.n_pairs
+    y = series.points[:, 0]
+    sel = build_selectors(series)
+    return pair_moments(sel, lambda a, b: basis_matrix(y[a:b], n_basis)).T
 
 
 def significance_line(sigma: np.ndarray, n_reg: int) -> np.ndarray:

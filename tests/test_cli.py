@@ -85,6 +85,17 @@ class TestEstimateCommand:
         code = run_cli(["estimate", "--input", str(tmp_path / "nope.txt")])
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("layout", ["columns", "deg", "rad", "multiseq"])
+    def test_non_finite_value_is_data_error(self, tmp_path, capsys, layout, value):
+        prefix = "1 " if layout == "multiseq" else ""
+        lines = [f"{prefix}{0.1 * i}" for i in range(10)]
+        lines[4] = prefix + value
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(["estimate", "--input", str(path), "--layout", layout]) == 3
+        assert "bad.txt:5: non-finite" in capsys.readouterr().err
+
     def test_bad_kappa_is_config_error(self, gauss_shift_file):
         code = run_cli(
             ["estimate", "--input", str(gauss_shift_file), "--kappa", "-2"]

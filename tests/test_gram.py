@@ -14,6 +14,7 @@ from hmmorder.gram import (
     build_shifted_product,
     cholesky_factor,
     estimate_operator_matrix,
+    pair_moments,
     psd_sqrt,
     singular_spectrum,
 )
@@ -30,8 +31,10 @@ from hmmorder.kernels import (
 )
 from hmmorder.series import ObservedSeries
 from hmmorder.simulate import get_scenario, simulate
+from hmmorder.spectral import build_nhat
 
 from test_kernels import EDGE_SIZES, cross_gram_matrix_full, gaussian_cross
+from test_spectral import brute_force_nhat
 
 
 def psd_sqrt_full(w):
@@ -47,11 +50,24 @@ def psd_sqrt_full(w):
     return 0.5 * (m + m.T)
 
 
+def pair_indices(sel):
+    """Pooled indices of the first member of every pair of ``sel``."""
+    return np.concatenate([np.arange(a, b - 1) for a, b in sel.runs])
+
+
 def shifted_product_full(m, sel):
     """Reference N x N product (1/n) M S M of the symmetric square root,
     with M's columns picked by the second and its rows by the first
     member of each pair."""
-    return m[:, sel.second] @ m[sel.first, :] / sel.n_pairs
+    first = pair_indices(sel)
+    return m[:, first + 1] @ m[first, :] / sel.n_pairs
+
+
+def gathered_product(f, sel):
+    """Reference pair product (1/n) F[second]^T F[first] from gathered
+    rows, one product over all pairs."""
+    first = pair_indices(sel)
+    return f[first + 1].T @ f[first] / sel.n_pairs
 
 
 def random_series(rng, n_points, dim=1, kind="linear"):
@@ -66,30 +82,36 @@ class TestSelectors:
     def test_single_sequence(self):
         series = ObservedSeries.from_points(np.arange(3.0))
         sel = build_selectors(series)
-        assert sel.first.tolist() == [0, 1]
-        assert sel.second.tolist() == [1, 2]
+        assert sel.runs == ((0, 3),)
+        assert sel.n_pairs == 2
 
     def test_two_sequences_skip_boundary(self):
         series = ObservedSeries(sequences=(np.arange(3.0), np.arange(2.0)))
         sel = build_selectors(series)
-        assert sel.first.tolist() == [0, 1, 3]
-        assert sel.second.tolist() == [1, 2, 4]
+        assert sel.runs == ((0, 3), (3, 5))
+        assert pair_indices(sel).tolist() == [0, 1, 3]
         assert sel.n_pairs == 3
 
     def test_minimal_sequence(self):
         series = ObservedSeries.from_points(np.array([1.0, 2.0]))
         sel = build_selectors(series)
-        assert sel.first.tolist() == [0]
-        assert sel.second.tolist() == [1]
+        assert sel.runs == ((0, 2),)
+        assert sel.n_pairs == 1
 
     def test_pairs_are_consecutive(self):
+        # the runs tile the pooled points in order, one per sequence
         rng = np.random.default_rng(0)
         series = ObservedSeries(
             sequences=tuple(rng.standard_normal(k) for k in (5, 2, 7))
         )
         sel = build_selectors(series)
-        assert np.array_equal(sel.second, sel.first + 1)
+        assert sel.runs == ((0, 5), (5, 7), (7, 14))
         assert sel.n_pairs == series.n_pairs
+
+    @pytest.mark.parametrize("runs", [(), ((0, 1),), ((0, 3), (3, 3))])
+    def test_rejects_runs_without_pairs(self, runs):
+        with pytest.raises(ValueError, match="two points"):
+            PairSelectors(runs)
 
 
 class TestBuildGram:
@@ -490,19 +512,60 @@ class TestPairMatrices:
         n = sel.n_pairs
         b = build_shifted_product(m, sel)
         s_b = np.linalg.svd(b, compute_uv=False)[:n]
-        gu = w[np.ix_(sel.second, sel.second)]
-        gv = w[np.ix_(sel.first, sel.first)]
+        first = pair_indices(sel)
+        gu = w[np.ix_(first + 1, first + 1)]
+        gv = w[np.ix_(first, first)]
         two_block = psd_sqrt(gu) @ psd_sqrt(gv) / n
         s_t = np.linalg.svd(two_block, compute_uv=False)
         assert np.allclose(s_b, s_t, rtol=1e-9, atol=1e-12)
 
     def test_factor_path_sums_pair_runs(self):
         f = np.random.default_rng(23).standard_normal((FULL_SVD_MAX_N + 9, 7))
-        sel = PairSelectors(np.r_[0:100, 150:208], np.r_[1:101, 151:209])
-        want = f[sel.second].T @ f[sel.first] / sel.n_pairs
+        sel = PairSelectors(((0, 101), (150, 209)))
+        want = gathered_product(f, sel)
         assert np.allclose(build_shifted_product(f, sel), want, rtol=1e-13, atol=1e-15)
-        with pytest.raises(ValueError, match="consecutive"):
-            build_shifted_product(f, PairSelectors(sel.first, sel.first + 2))
+
+    @pytest.mark.parametrize("n_points", [2, 51, 199])
+    def test_single_sequence_sum_equals_gather_bitwise(self, n_points):
+        # the dense path's bits: on one sequence the slice product is the
+        # gathered product
+        f = np.random.default_rng(n_points).standard_normal((n_points, n_points))
+        sel = PairSelectors(((0, n_points),))
+        assert np.array_equal(build_shifted_product(f, sel), gathered_product(f, sel))
+
+
+class TestPairMoments:
+    def test_block_edges_count_each_pair_once(self, monkeypatch):
+        import hmmorder.gram as gram_mod
+
+        # a block of 7 pairs spans 8 points; lengths 7, 8, 15 and 23 put
+        # sequence ends just before, on and after block edges
+        monkeypatch.setattr(gram_mod, "_PAIR_BLOCK", 7)
+        rng = np.random.default_rng(4)
+        series = ObservedSeries(
+            sequences=tuple(rng.uniform(0, 1, m) for m in (2, 7, 8, 15, 23))
+        )
+        got = build_nhat(series, 6)
+        np.testing.assert_allclose(got, brute_force_nhat(series, 6), rtol=0, atol=1e-12)
+        f = rng.standard_normal((series.n_points, 5))
+        sel = build_selectors(series)
+        np.testing.assert_allclose(
+            build_shifted_product(f, sel), gathered_product(f, sel), rtol=0, atol=1e-12
+        )
+
+    def test_feature_rows_are_asked_for_one_block_at_a_time(self, monkeypatch):
+        import hmmorder.gram as gram_mod
+
+        monkeypatch.setattr(gram_mod, "_PAIR_BLOCK", 7)
+        series = ObservedSeries(sequences=(np.zeros(2), np.zeros(16)))
+        asked = []
+
+        def rows(a, b):
+            asked.append((a, b))
+            return np.ones((b - a, 1))
+
+        assert pair_moments(build_selectors(series), rows).tolist() == [[1.0]]
+        assert asked == [(0, 2), (2, 10), (9, 17), (16, 18)]
 
 
 class TestSingularSpectrum:

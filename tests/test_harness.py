@@ -307,7 +307,8 @@ DEMOTED_NAMES = [
         (
             "gram",
             "PairSelectors SingularSpectrum build_gram build_selectors "
-            "build_shifted_product estimate_operator_matrix psd_sqrt singular_spectrum",
+            "build_shifted_product estimate_operator_matrix pair_moments psd_sqrt "
+            "singular_spectrum",
         ),
         ("harness", "success_frequencies timing_report"),
         (

@@ -90,6 +90,25 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="bad.txt:3"):
             load_series(DatasetDescriptor(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        ("layout", "dim", "text"),
+        [
+            ("columns", 1, "1.0\n{}\n3.0\n"),
+            ("columns", 2, "1.0 2.0\n3.0 {}\n5.0 6.0\n"),
+            ("deg", 1, "10\n{}\n30\n"),
+            ("rad", 1, "0.1\n{}\n0.3\n"),
+            ("multiseq", 1, "1 0.1\n1 {}\n2 0.3\n2 0.4\n"),
+            ("multiseq", 1, "1 0.1\n{} 0.2\n2 0.3\n2 0.4\n"),
+        ],
+        ids=["columns", "columns-d2", "deg", "rad", "multiseq", "multiseq-id"],
+    )
+    def test_non_finite_field_names_line(self, tmp_path, layout, dim, text, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(text.format(value))
+        with pytest.raises(DataError, match="bad.txt:2: non-finite"):
+            load_series(DatasetDescriptor(path, layout=layout, dim=dim))
+
     def test_ragged_rows_name_line(self, tmp_path):
         path = tmp_path / "ragged.txt"
         path.write_text("1.0 2.0\n3.0\n")

@@ -42,6 +42,19 @@ def brute_force_nhat(series, n_basis):
     return out
 
 
+def build_nhat_per_sequence(series, n_basis, block=2048):
+    """Reference moment matrix: each sequence walked on its own in
+    blocks of ``block`` pairs that share an edge point, the products
+    phi(y_t) phi(y_{t+1})^T summed into a zero matrix."""
+    nhat = np.zeros((n_basis, n_basis))
+    for seq in series.sequences:
+        y = seq[:, 0]
+        for a in range(0, y.size - 1, block):
+            rows = basis_matrix(y[a : a + block + 1], n_basis)
+            nhat += rows[:-1].T @ rows[1:]
+    return nhat / series.n_pairs
+
+
 class TestScaleToUnit:
     def test_simple(self):
         series = ObservedSeries.from_points(np.array([0.0, 5.0, 10.0]))
@@ -133,16 +146,19 @@ class TestBuildNhat:
         got = build_nhat(series, 5)
         assert np.allclose(got, brute_force_nhat(series, 5), atol=1e-12)
 
-    def test_block_edges_count_each_pair_once(self, monkeypatch):
-        # a block of 7 pairs spans 8 points; lengths 7, 8, 15 and 23 put
-        # sequence ends just before, on and after block edges
-        monkeypatch.setattr(spectral, "_PAIR_BLOCK", 7)
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moment_matrix_equals_per_sequence_loop(self, seed):
+        # pooled beta3 sequences of 4500 pairs (three blocks), 2048 pairs
+        # (exactly one block) and 300 pairs
+        scenario = paper_scenarios()["beta3"]
         series = ObservedSeries(
-            sequences=tuple(rng.uniform(0, 1, m) for m in (2, 7, 8, 15, 23))
+            sequences=tuple(
+                simulate(scenario, m, seed + 10 * j)[0].sequences[0]
+                for j, m in enumerate((4500, 2048, 300))
+            )
         )
-        got = build_nhat(series, 6)
-        np.testing.assert_allclose(got, brute_force_nhat(series, 6), rtol=0, atol=1e-12)
+        got = moment_matrix(series, 40)
+        assert np.array_equal(got, build_nhat_per_sequence(series, 40))
 
 
 class TestSignificanceRule:
