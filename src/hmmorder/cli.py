@@ -139,8 +139,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args, compare: bool) -> int:
     try:
         config = load_config(args.config)
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"data error: {args.config}: {exc}", file=sys.stderr)
         return DATA_ERROR
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -151,6 +151,9 @@ def _cmd_experiment(args, compare: bool) -> int:
         except ValueError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return CONFIG_ERROR
+    if not Path(args.out).parent.is_dir():  # before the grid, which can take minutes
+        print(f"data error: {args.out}: its directory does not exist", file=sys.stderr)
+        return DATA_ERROR
     table = run_method_comparison(config) if compare else run_experiment(config)
     # timing is excluded so identical configurations produce identical bytes
     text = emit_table(table, fmt=args.format, include_timing=False)
@@ -160,13 +163,18 @@ def _cmd_experiment(args, compare: bool) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "estimate":
-        return _cmd_estimate(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args, compare=False)
-    return _cmd_experiment(args, compare=True)
+    try:
+        if args.command == "estimate":
+            return _cmd_estimate(args)
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        return _cmd_experiment(args, compare=args.command == "compare-spectral")
+    except OSError as exc:
+        # a file named on the command line that cannot be read or written
+        if exc.filename is None:
+            raise
+        print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ from, split at N = FULL_SVD_MAX_N points:
   Grams have k of 30-70 up to n = 64000, the d = 3 Grams at n = 1000
   about 650-720.
 
+The points' dimension is checked in ``kernels``, before any work here.
+
 Only the leading ``l_max`` singular values are computed and the
 Frobenius mass is summed directly.  Up to FULL_SVD_MAX_N rows they come
 from a full SVD; above it, from a residual-certified block Krylov
@@ -131,15 +133,7 @@ def pair_moments(sel: PairSelectors, rows) -> np.ndarray:
 
 def build_gram(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     """Gram matrix W[i, j] = phi_h(y_i, y_j) over all pooled points."""
-    _check_dim(series, kernel)
     return cross_gram_matrix(kernel, series.points)
-
-
-def _check_dim(series: ObservedSeries, kernel) -> None:
-    if kernel.dim != series.dim:
-        raise ValueError(
-            f"kernel dimension {kernel.dim} does not match series dimension {series.dim}"
-        )
 
 
 def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
@@ -165,10 +159,9 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     kernel columns and O(N k^2) operations, and W is never formed.
     Harbrecht, Peters & Schneider (2012).
     """
-    _check_dim(series, kernel)
     pts = series.points
     n = pts.shape[0]
-    resid = gram_diagonal(kernel, pts).copy()
+    resid = gram_diagonal(kernel, pts)
     column = _column_evaluator(kernel)
     d_max = float(np.max(resid))
     stop = n * np.finfo(float).eps * d_max

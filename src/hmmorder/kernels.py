@@ -7,15 +7,19 @@ cross inner product
     phi_h(a, b) = integral of K_h(z - a) * K_h(z - b) dz,
 
 which has a closed form for both families and fills the Gram matrix of
-the pair operator.  ``cross_gram_matrix`` forms the whole matrix, for
-the dense square root of small N; ``gram_column`` and ``gram_diagonal``
-give one column and the diagonal of the same matrix without forming
-it, for the factor path of large N.  Bandwidths follow
-h = kappa * n**(-beta); ``select_bandwidth`` alone decides the defaults
-of beta and kappa.
+the pair operator.  Each closed form is written twice: in
+``cross_gram_matrix``, the whole matrix for the dense square root of
+small N and the tests' oracle, and in ``_column_evaluator``, for every
+other value.  Their constants, phi_h(y, y) and the kernel's L2 norm come
+from ``_family_constants``, once per ``KernelSpec``, which accepts a
+bandwidth only if h, h^-d and every constant are positive finite: about
+4e-163 < h < 4e153 for the Gaussian family in d = 1 (2e-103 to 2e107 in
+d = 3), and h > 1e-154 for von Mises (1/h^2 may underflow to 0, the
+uniform kernel).  Bandwidths follow h = kappa * n**(-beta);
+``select_bandwidth`` alone decides the defaults of beta and kappa.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,6 +34,36 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 #: squared L2 norm of the standard normal density, 1/(2*sqrt(pi))
 GAUSSIAN_L2_SQ = 1.0 / (2.0 * np.sqrt(np.pi))
 
+
+def _family_constants(spec) -> tuple:
+    """(norm, diag, l2_sq): the closed form's constant (a factor for the Gaussian
+    family, a divisor for von Mises), phi_h(y, y) and the kernel's squared L2 norm."""
+    if spec.family == GAUSSIAN:
+        h = spec.bandwidth
+        scale = (4.0 * np.pi * h * h) ** (-spec.dim / 2.0)
+        return scale, scale, GAUSSIAN_L2_SQ
+    kap = spec.concentration
+    norm = 2.0 * np.pi * float(_i0e(kap)) ** 2
+    diag = float(_i0e(2.0 * kap)) / norm
+    return norm, diag, diag
+
+
+def _checked(kernel, family_constants=lambda kernel: ()) -> tuple:
+    """``family_constants(kernel)`` if h, h^-d (the practical threshold's
+    factor) and each constant are positive finite floats, else ValueError."""
+    if kernel.dim < 1:
+        raise ValueError(f"dim must be >= 1, got {kernel.dim}")
+    h = kernel.bandwidth
+    try:
+        constants = family_constants(kernel)
+        values = (h, h**-kernel.dim, *constants)
+    except (OverflowError, ZeroDivisionError):
+        values = (np.nan,)
+    if not all(np.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"bandwidth {h} is out of range for {kernel.family} in d = {kernel.dim}")
+    return constants
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A smoothing kernel: family, bandwidth and product dimension.
@@ -41,16 +75,17 @@ class KernelSpec:
     family: str
     bandwidth: float
     dim: int = 1
+    _norm: float = field(init=False, repr=False, compare=False)
+    _diag: float = field(init=False, repr=False, compare=False)
+    l2_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in (GAUSSIAN, VONMISES):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.family == VONMISES and self.dim != 1:
             raise ValueError("von Mises kernel requires dim == 1")
+        for name, value in zip(("_norm", "_diag", "l2_sq"), _checked(self, _family_constants)):
+            object.__setattr__(self, name, value)
 
     @property
     def concentration(self) -> float:
@@ -79,10 +114,7 @@ class CustomKernel:
     family = "custom"
 
     def __post_init__(self):
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _checked(self)
 
 
 @dataclass(frozen=True)
@@ -140,26 +172,13 @@ def kernel_eval(spec: KernelSpec, u) -> np.ndarray | float:
 
 
 def cross_gram(spec, a, b) -> float:
-    """phi_h(a, b) for a single pair of points (closed form for the
-    built-in families, delegated for a CustomKernel)."""
+    """phi_h(a, b) for a single pair of points, from the column
+    evaluator: one ``cross_gram_fn`` call for a CustomKernel."""
     a = _check_finite(a).reshape(-1)
     b = _check_finite(b).reshape(-1)
     if a.shape != b.shape or a.size != spec.dim:
-        raise ValueError(
-            f"points must both have dimension {spec.dim}, got {a.size} and {b.size}"
-        )
-    if isinstance(spec, CustomKernel):
-        return float(spec.cross_gram_fn(a, b, spec.bandwidth))
-    if spec.family == GAUSSIAN:
-        h = spec.bandwidth
-        sq = float(np.sum((a - b) ** 2))
-        return (4.0 * np.pi * h * h) ** (-spec.dim / 2.0) * np.exp(-sq / (4.0 * h * h))
-    kap = spec.concentration
-    c = abs(np.cos(0.5 * (float(a[0]) - float(b[0]))))
-    # I0(2*kap*c) / (2*pi*I0(kap)^2) written with exp-scaled Bessels
-    return float(_i0e(2.0 * kap * c) * np.exp(2.0 * kap * (c - 1.0))) / (
-        2.0 * np.pi * float(_i0e(kap)) ** 2
-    )
+        raise ValueError(f"points must both have dimension {spec.dim}, got {a.size} and {b.size}")
+    return float(_column_evaluator(spec)(a[None], b)[0])
 
 
 def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
@@ -181,13 +200,13 @@ def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
         sq = pts @ pts.T
         norms = np.diag(sq).copy()
         d2 = np.maximum(norms[:, None] + norms[None, :] - 2.0 * sq, 0.0)
-        w = (4.0 * np.pi * h * h) ** (-spec.dim / 2.0) * np.exp(-d2 / (4.0 * h * h))
+        w = spec._norm * np.exp(-d2 / (4.0 * h * h))
     else:
         kap = spec.concentration
         ang = pts[:, 0]
         c = np.abs(np.cos(0.5 * (ang[:, None] - ang[None, :])))
         w = _i0e(2.0 * kap * c) * np.exp(2.0 * kap * (c - 1.0))
-        w /= 2.0 * np.pi * float(_i0e(kap)) ** 2
+        w /= spec._norm
     upper = np.triu(w)
     bad = ~np.isfinite(upper)
     if bad.any():
@@ -201,25 +220,20 @@ def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
 def _as_points(spec, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
-        raise ValueError(f"points must be (N, {spec.dim}), got {pts.shape}")
+        raise ValueError(f"points must be (N, {spec.dim}), the kernel dimension, got {pts.shape}")
     return pts
 
 
 def gram_diagonal(spec, points: np.ndarray) -> np.ndarray:
     """phi_h(y_i, y_i) for every row of an (N, d) point array.
 
-    Constant for the built-in families; a CustomKernel is called once
-    per point.
+    One constant for the built-in families; a CustomKernel is called
+    once per point.
     """
     pts = _as_points(spec, points)
-    n = pts.shape[0]
-    if isinstance(spec, CustomKernel):
-        diag = np.array([spec.cross_gram_fn(p, p, spec.bandwidth) for p in pts], dtype=float)
-    elif spec.family == GAUSSIAN:
-        diag = np.full(n, (4.0 * np.pi * spec.bandwidth**2) ** (-spec.dim / 2.0))
-    else:
-        kap = spec.concentration
-        diag = np.full(n, float(_i0e(2.0 * kap)) / (2.0 * np.pi * float(_i0e(kap)) ** 2))
+    if not isinstance(spec, CustomKernel):
+        return np.full(pts.shape[0], spec._diag)
+    diag = np.array([spec.cross_gram_fn(p, p, spec.bandwidth) for p in pts], dtype=float)
     return _check_column(spec, diag, None)
 
 
@@ -229,9 +243,8 @@ def gram_column(spec, points: np.ndarray, j: int) -> np.ndarray:
 
     The Gaussian family takes direct differences y_i - y_j, so a common
     shift of the points cancels exactly instead of being lost in
-    |y_i|^2 + |y_j|^2 - 2 y_i.y_j; the von Mises family evaluates the
-    closed form of ``cross_gram_matrix`` with c - 1 rewritten below.
-    A CustomKernel is called N times.
+    |y_i|^2 + |y_j|^2 - 2 y_i.y_j; the von Mises family writes c - 1 as
+    -sin^2 / (1 + c).  A CustomKernel is called N times.
     """
     pts = _as_points(spec, points)
     return _check_column(spec, _column_evaluator(spec)(pts, pts[j]), j)
@@ -239,16 +252,16 @@ def gram_column(spec, points: np.ndarray, j: int) -> np.ndarray:
 
 def _column_evaluator(spec) -> Callable:
     """``column(pts, y)``: phi_h(x_i, y) for every row x_i of an (M, d)
-    array and one d-vector y.  The kernel constants are computed once
-    and nothing is checked: ``gram_column`` adds the checks, and
+    array and one d-vector y.  The kernel constants are read once and
+    nothing is checked: ``gram_column`` adds the checks, and
     ``gram.cholesky_factor`` validates its points once and checks each
     column itself."""
     h = spec.bandwidth
     if isinstance(spec, CustomKernel):
         fn = spec.cross_gram_fn
         return lambda pts, y: np.array([fn(p, y, h) for p in pts], dtype=float)
+    norm = spec._norm
     if spec.family == GAUSSIAN:
-        scale = (4.0 * np.pi * h * h) ** (-spec.dim / 2.0)
         minus_4h2 = -(4.0 * h * h)
         coords = range(1, spec.dim)
 
@@ -263,12 +276,11 @@ def _column_evaluator(spec) -> Callable:
                 d2 += diff
             d2 /= minus_4h2
             np.exp(d2, out=d2)
-            d2 *= scale
+            d2 *= norm
             return d2
 
         return gaussian
     kap = spec.concentration
-    norm = 2.0 * np.pi * float(_i0e(kap)) ** 2
 
     def vonmises(pts, y):
         half = 0.5 * (pts[:, 0] - y[0])
@@ -302,18 +314,13 @@ def _check_column(spec, col: np.ndarray, j, index=None) -> np.ndarray:
 def kernel_l2_norm_sq(spec) -> float:
     """Squared L2 norm of the unscaled univariate kernel.
 
-    Equals phi_1 evaluated at coinciding points for the Gaussian family
-    and I0(2*kap)/(2*pi*I0(kap)^2) for the von Mises family.  A
-    CustomKernel must carry the value explicitly.
+    Equals phi_1 at coinciding points for the Gaussian family and
+    phi_h(y, y) = I0(2*kap)/(2*pi*I0(kap)^2) for the von Mises family.
+    A CustomKernel must carry the value explicitly.
     """
-    if isinstance(spec, CustomKernel):
-        if spec.l2_sq is None:
-            raise ValueError("this custom kernel does not declare its L2 norm")
-        return float(spec.l2_sq)
-    if spec.family == GAUSSIAN:
-        return GAUSSIAN_L2_SQ
-    kap = spec.concentration
-    return float(_i0e(2.0 * kap)) / (2.0 * np.pi * float(_i0e(kap)) ** 2)
+    if spec.l2_sq is None:
+        raise ValueError("this custom kernel does not declare its L2 norm")
+    return float(spec.l2_sq)
 
 
 def silverman_kappa(series: ObservedSeries) -> float:

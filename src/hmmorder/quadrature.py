@@ -19,6 +19,10 @@ from .kernels import GAUSSIAN, SQRT_2PI, KernelSpec, kernel_eval
 from .series import CIRCULAR, TWO_PI, ObservedSeries
 
 
+#: largest relative change of sigma_1 on the doubled grid that passes
+_CHECK_RTOL = 1e-4
+
+
 class OracleResolutionError(RuntimeError):
     """The quadrature grid is too coarse for the requested comparison."""
 
@@ -95,29 +99,23 @@ def quadrature_svd_oracle(
     kernel: KernelSpec,
     grid_size: int = 400,
     k: int = 10,
-    check: bool = True,
-    check_rtol: float = 1e-4,
 ) -> np.ndarray:
     """Leading singular values of the empirical smoothed operator,
     computed by discretizing its kernel on a grid.
 
-    With ``check`` the computation is repeated on a doubled grid and the
-    leading singular value must agree to ``check_rtol`` relatively,
-    otherwise the resolution is deemed insufficient.
+    The computation is repeated on a doubled grid and the leading
+    singular value must agree to ``_CHECK_RTOL`` relatively, otherwise
+    the resolution is deemed insufficient.
     """
-    op = empirical_grid_operator(series, kernel, grid_size)
-    sigma = op.singular_values(k)
-    if check:
-        fine = empirical_grid_operator(series, kernel, 2 * grid_size)
-        sigma_fine = fine.singular_values(k)
-        rel = abs(sigma[0] - sigma_fine[0]) / max(sigma_fine[0], 1e-300)
-        if rel > check_rtol:
-            raise OracleResolutionError(
-                f"grid of {grid_size} nodes is too coarse: leading singular value "
-                f"moved by {rel:.2e} relative under refinement"
-            )
-        sigma = sigma_fine
-    return sigma
+    sigma = empirical_grid_operator(series, kernel, grid_size).singular_values(k)
+    fine = empirical_grid_operator(series, kernel, 2 * grid_size).singular_values(k)
+    rel = abs(sigma[0] - fine[0]) / max(fine[0], 1e-300)
+    if rel > _CHECK_RTOL:
+        raise OracleResolutionError(
+            f"grid of {grid_size} nodes is too coarse: leading singular value "
+            f"moved by {rel:.2e} relative under refinement"
+        )
+    return fine
 
 
 # ---------------------------------------------------------------------------

@@ -53,20 +53,23 @@ class DatasetDescriptor:
 def _parse_rows(path: Path) -> list:
     """Numeric rows with their 1-based line numbers; a field that is not
     a finite number is a ``DataError`` naming its line."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.replace(",", " ").split()
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric field in {stripped!r}") from None
-            if not all(map(math.isfinite, values)):
-                raise DataError(f"{path}:{lineno}: non-finite field in {stripped!r}")
-            rows.append((lineno, values))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        fields = stripped.replace(",", " ").split()
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric field in {stripped!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}:{lineno}: non-finite field in {stripped!r}")
+        rows.append((lineno, values))
     if not rows:
         raise DataError(f"{path}: file contains no data rows")
     return rows

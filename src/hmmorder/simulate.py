@@ -171,27 +171,17 @@ def make_transition_nu(nu: float) -> np.ndarray:
     return a
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    stack = [start]
-    seen[start] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return seen
-
-
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """Solve pi A = pi with sum(pi) = 1 for an irreducible chain."""
     a = np.asarray(transition, dtype=float)
     ell = a.shape[0]
-    adj = a > 0
-    for start in range(ell):
-        if not _reachable(adj, start).all():
-            raise ValueError("transition matrix is reducible")
+    # after m squarings reach[i, j] says that j is reachable from i in
+    # at most 2^m steps; ell - 1 steps reach every reachable state
+    reach = (a > 0) | np.eye(ell, dtype=bool)
+    for _ in range((ell - 1).bit_length()):
+        reach = reach @ reach
+    if not reach.all():
+        raise ValueError("transition matrix is reducible")
     system = np.vstack([a.T - np.eye(ell), np.ones(ell)])
     rhs = np.zeros(ell + 1)
     rhs[-1] = 1.0

@@ -48,6 +48,12 @@ class TestSimulateCommand:
             ) == 0
         assert a.read_text() == b.read_text()
 
+    def test_missing_out_directory_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        code = run_cli(["simulate", "--scenario", "beta3", "--n", "10", "--out", str(out)])
+        assert code == 3
+        assert f"data error: {out}" in capsys.readouterr().err
+
     def test_unknown_scenario_is_config_error(self, tmp_path):
         code = run_cli(
             ["simulate", "--scenario", "bogus", "--n", "10",
@@ -95,6 +101,30 @@ class TestEstimateCommand:
         path.write_text("\n".join(lines) + "\n")
         assert run_cli(["estimate", "--input", str(path), "--layout", layout]) == 3
         assert "bad.txt:5: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "in"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"0.5\n\xe9\n")
+        assert run_cli(["estimate", "--input", str(path)]) == 3
+        assert f"data error: {path}: cannot read" in capsys.readouterr().err
+
+    def test_unwritable_diagnostics_is_data_error(self, gauss_shift_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "diag.csv"
+        code = run_cli(
+            ["estimate", "--input", str(gauss_shift_file), "--diagnostics", str(out)]
+        )
+        assert code == 3
+        assert f"data error: {out}" in capsys.readouterr().err
+
+    def test_out_of_range_bandwidth_is_config_error(self, gauss_shift_file, capsys):
+        # h = 1e-170 * n^(-1/6): 4 pi h^2 underflows to 0
+        code = run_cli(["estimate", "--input", str(gauss_shift_file), "--kappa", "1e-170"])
+        assert code == 2
+        assert "configuration error: bandwidth" in capsys.readouterr().err
 
     def test_bad_kappa_is_config_error(self, gauss_shift_file):
         code = run_cli(
@@ -241,6 +271,33 @@ class TestExperimentCommand:
              "--out", str(tmp_path / "o.csv")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_config_is_data_error(self, tmp_path, capsys, kind):
+        config = tmp_path / "exp.cfg"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b"scenario = gauss-shift\n# \xe9\n")
+        code = run_cli(
+            ["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == 3
+        assert f"data error: {config}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment", "compare-spectral"])
+    def test_missing_out_directory_is_data_error_before_the_grid(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        ran = []
+        for name in ("run_experiment", "run_method_comparison"):
+            monkeypatch.setattr(cli, name, ran.append)
+        config = tmp_path / "exp.cfg"
+        config.write_text("scenario = gauss-shift\nn_list = 60\nreplicates = 1\n")
+        out = tmp_path / "missing" / "o.csv"
+        assert run_cli([command, "--config", str(config), "--out", str(out)]) == 3
+        assert ran == []
+        assert f"data error: {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, jobs", [([], 3), (["--jobs", "2"], 2)])
     def test_jobs_flag_overrides_config(self, tmp_path, monkeypatch, flags, jobs):

@@ -18,7 +18,7 @@ from hmmorder.estimator import (
     tail_stats,
     theoretical_threshold,
 )
-from hmmorder.gram import SingularSpectrum
+from hmmorder.gram import FULL_SVD_MAX_N, SingularSpectrum
 from hmmorder.kernels import GAUSSIAN_L2_SQ, BandwidthRule, KernelSpec
 from hmmorder.series import ObservedSeries
 from hmmorder.simulate import get_scenario, shift_scenario, simulate
@@ -307,6 +307,18 @@ class TestFactorPathRobustness:
         est = estimate_order(series, bandwidth=0.003)
         assert np.all(np.isfinite(est.r_values)) and est.r_values[0] > 0
         assert np.all(np.diff(est.r_values) <= 1e-12 * est.r_values[0])
+
+
+class TestBandwidthRange:
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_out_of_range_bandwidth_fails_alike_on_both_paths(self, n):
+        # 50 pairs take the dense square root and 300 the factor; h^2
+        # overflows on both, which once gave L = 0 on the first and an
+        # OverflowError on the second
+        series, _ = simulate(get_scenario("gauss-shift"), n, seed=0)
+        assert (series.n_points > FULL_SVD_MAX_N) == (n > FULL_SVD_MAX_N)
+        with pytest.raises(ValueError, match=r"bandwidth 1e\+200 is out of range"):
+            estimate_order(series, bandwidth=1e200)
 
 
 class TestMaxUnivariate:

@@ -370,6 +370,18 @@ class TestImports:
         )
         assert run_python(code) == "False"
 
+    def test_gaussian_estimate_loads_no_special_functions(self):
+        # only the von Mises constants need scipy.special's Bessel
+        # function; a Gaussian KernelSpec checks its constants without it
+        code = (
+            "import sys; from hmmorder import estimate_order; "
+            "from hmmorder.simulate import get_scenario, simulate; "
+            "[estimate_order(simulate(get_scenario('gauss-shift'), n, 0)[0]) "
+            "for n in (50, 600)]; "
+            "print('scipy.special' in sys.modules)"
+        )
+        assert run_python(code) == "False"
+
     @pytest.mark.parametrize(("module", "name"), DEMOTED_NAMES)
     def test_package_exports_only_entry_points(self, module, name):
         assert sorted(hmmorder.__all__) == sorted(ENTRY_POINTS)

@@ -119,6 +119,16 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="no such file"):
             load_series(DatasetDescriptor(tmp_path / "absent.txt"))
 
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_series(DatasetDescriptor(tmp_path))
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1.0\n2.0\n\xe9\n")
+        with pytest.raises(DataError, match="latin1.txt: cannot read"):
+            load_series(DatasetDescriptor(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("\n\n")

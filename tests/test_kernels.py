@@ -1,5 +1,7 @@
 """Kernel closed forms against quadrature, and bandwidth rules."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -192,14 +194,21 @@ class TestCrossGram:
             cross_gram(KernelSpec("gaussian", 1.0, dim=2), [0.0], [0.0, 1.0])
 
     def test_matrix_agrees_with_scalar(self):
+        # two separate closed forms: cross_gram runs the column evaluator,
+        # which writes the von Mises c - 1 as -sin^2 / (1 + c); the
+        # angles span six bandwidths, down to 1e-8 of the peak value
         rng = np.random.default_rng(46)
-        pts = rng.normal(0, 1, (8, 2))
-        spec = KernelSpec("gaussian", 0.6, dim=2)
-        w = cross_gram_matrix(spec, pts)
-        for i in range(8):
-            for j in range(8):
-                assert w[i, j] == pytest.approx(cross_gram(spec, pts[i], pts[j]), rel=1e-10)
-        assert np.array_equal(w, w.T)
+        cases = [(KernelSpec("gaussian", 0.6, dim=2), rng.normal(0, 1, (8, 2)))]
+        for h in (1.0, 0.3, 0.1, 0.05):
+            cases.append((KernelSpec("vonmises", h), rng.uniform(1.0, 1.0 + 6 * h, (8, 1))))
+        for spec, pts in cases:
+            w = cross_gram_matrix(spec, pts)
+            for i in range(8):
+                for j in range(8):
+                    assert w[i, j] == pytest.approx(
+                        cross_gram(spec, pts[i], pts[j]), rel=1e-10
+                    )
+            assert np.array_equal(w, w.T)
 
     def test_vonmises_matrix_periodicity(self):
         spec = KernelSpec("vonmises", 0.5)
@@ -390,6 +399,19 @@ class TestGramColumns:
             col = gram_column(spec, ang[:, None], j)
             assert np.max(np.abs(col / ref - 1.0)) <= 1e-13
 
+    @pytest.mark.parametrize(
+        ("family", "dim"), [("gaussian", 1), ("gaussian", 3), ("vonmises", 1)]
+    )
+    def test_diagonal_is_the_column_at_its_own_point(self, family, dim):
+        # h**2 and h * h round apart at this bandwidth, and the diagonal
+        # once spelled the Gaussian constant with h**2
+        spec = KernelSpec(family, 0.2599207055766236, dim=dim)
+        kind = "circular" if family == "vonmises" else "linear"
+        pts = gram_points(np.random.default_rng(34), 6, dim, kind)
+        diag = gram_diagonal(spec, pts)
+        for j in range(6):
+            assert gram_column(spec, pts, j)[j] == diag[j]
+
     def test_custom_kernel_called_once_per_entry(self):
         calls = []
 
@@ -513,6 +535,30 @@ class TestBandwidth:
             h = select_bandwidth(BandwidthRule(), series)
             assert h == kappa * 700 ** (-1.0 / (4.0 + 2.0 * dim))
             assert h == pytest.approx(kappa * 700 ** (-beta), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        ("family", "h", "dim"),
+        [
+            ("gaussian", 1e-170, 1),
+            ("gaussian", 1e-170, 3),
+            ("gaussian", 1e200, 1),
+            ("gaussian", 1e200, 3),
+            ("vonmises", 1e-170, 1),
+        ],
+    )
+    def test_out_of_range_bandwidth_rejected(self, family, h, dim):
+        # 4 pi h^2 underflows to 0 or overflows, h^-3 overflows, or the
+        # concentration 1/h^2 overflows
+        with pytest.raises(ValueError, match=re.escape(f"bandwidth {h} is out of range")):
+            KernelSpec(family, h, dim)
+
+    def test_vonmises_huge_bandwidth_is_the_uniform_kernel(self):
+        # the concentration underflows to 0, which is a proper kernel
+        spec = KernelSpec("vonmises", 1e200)
+        assert spec.concentration == 0.0
+        w = cross_gram_matrix(spec, np.array([[0.0], [2.0]]))
+        assert np.allclose(w, 1.0 / (2.0 * np.pi), rtol=1e-15, atol=0.0)
+        assert kernel_l2_norm_sq(spec) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-15)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):

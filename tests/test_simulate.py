@@ -102,8 +102,11 @@ class TestStationary:
         assert np.max(np.abs(pi @ a - pi)) <= 1e-12
 
     def test_reducible_rejected(self):
-        with pytest.raises(ValueError, match="reducible"):
-            stationary_distribution(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        # two closed classes, and a one-way chain whose state 1 never
+        # returns to state 0
+        for a in ([[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="reducible"):
+                stationary_distribution(np.array(a))
 
 
 class TestHmmSpec:
