@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .estimator import estimate_order, estimate_order_max_univariate
 from .harness import (
-    ConfigError,
     emit_table,
     load_config,
     run_experiment,
@@ -89,33 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_estimate(args) -> int:
-    try:
-        desc = DatasetDescriptor(
-            path=args.input, layout=args.layout, dim=args.dim, stride=args.stride
-        )
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    try:
-        series = load_series(desc)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    try:
-        kappa = None if args.kappa == "auto" else float(args.kappa)
-        bandwidth = BandwidthRule(beta=args.beta, kappa=kappa)
-        threshold = None if args.tau == "auto" else float(args.tau)
-        if args.max_univariate:
-            estimate = estimate_order_max_univariate(
-                series, bandwidth=bandwidth, threshold=threshold, l_max=args.lmax
-            )
-        else:
-            estimate = estimate_order(
-                series, bandwidth=bandwidth, threshold=threshold, l_max=args.lmax
-            )
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    desc = DatasetDescriptor(path=args.input, layout=args.layout, dim=args.dim, stride=args.stride)
+    series = load_series(desc)
+    kappa = None if args.kappa == "auto" else float(args.kappa)
+    bandwidth = BandwidthRule(beta=args.beta, kappa=kappa)
+    threshold = None if args.tau == "auto" else float(args.tau)
+    estimator = estimate_order_max_univariate if args.max_univariate else estimate_order
+    estimate = estimator(series, bandwidth=bandwidth, threshold=threshold, l_max=args.lmax)
     print(f"L_hat = {estimate.l_hat}")
     if estimate.truncated:
         print(f"note: all {estimate.l_max} inspected statistics exceed the "
@@ -126,42 +105,27 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        spec = get_scenario(args.scenario, delta=args.delta, nu=args.nu, dim=args.dim)
-        series, _ = simulate(spec, args.n, args.seed)
-    except (KeyError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    spec = get_scenario(args.scenario, delta=args.delta, nu=args.nu, dim=args.dim)
+    series, _ = simulate(spec, args.n, args.seed)
     save_series(series, args.out)
     return 0
 
 
 def _cmd_experiment(args, compare: bool) -> int:
-    try:
-        config = load_config(args.config)
-    except UnicodeDecodeError as exc:
-        print(f"data error: {args.config}: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    config = load_config(args.config)
     if args.jobs is not None:
-        try:
-            config = replace(config, jobs=args.jobs)
-        except ValueError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return CONFIG_ERROR
-    if not Path(args.out).parent.is_dir():  # before the grid, which can take minutes
-        print(f"data error: {args.out}: its directory does not exist", file=sys.stderr)
-        return DATA_ERROR
+        config = replace(config, jobs=args.jobs)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # before the grid, which can take minutes
+        raise DataError(f"{args.out}: not a file in an existing directory")
     table = run_method_comparison(config) if compare else run_experiment(config)
     # timing is excluded so identical configurations produce identical bytes
-    text = emit_table(table, fmt=args.format, include_timing=False)
-    Path(args.out).write_text(text, encoding="utf-8")
+    out.write_text(emit_table(table, fmt=args.format, include_timing=False), encoding="utf-8")
     return 0
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place an exception becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "estimate":
@@ -169,12 +133,18 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_experiment(args, compare=args.command == "compare-spectral")
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return DATA_ERROR
     except OSError as exc:
         # a file named on the command line that cannot be read or written
         if exc.filename is None:
             raise
         print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return DATA_ERROR
+    except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import numpy as np
 from .estimator import estimate_order, estimate_order_max_univariate
 from .gram import DEFAULT_L_MAX
 from .kernels import BandwidthRule
+from .seriesio import DataError
 from .simulate import GAUSSIAN_NOISE, SHIFT_SCENARIOS, get_scenario, simulate
 from .spectral import SpectralConfig, moment_matrix, spectral_order
 
@@ -48,9 +49,9 @@ KNOWN_ORDER = 3
 class ExperimentConfig:
     """One scenario crossed with sample sizes and estimation methods.
 
-    Construction rejects a value the run could not use and a noise or
-    dimension its scenario contradicts, so a bad config fails before
-    any replicate runs.
+    Construction rejects a value the run could not use and a noise,
+    dimension or delta its scenario contradicts, so a bad config fails
+    before any replicate runs.
     """
 
     scenario: str
@@ -82,8 +83,8 @@ class ExperimentConfig:
         for method in self.methods:
             parse_method(method)
         BandwidthRule(beta=self.beta)  # beta must be positive and finite
-        # a scenario that contradicts its noise or dim fails here, so a
-        # table never carries a label its data do not have
+        # a scenario that contradicts its noise, dim or delta fails here,
+        # so a table never carries a label its data do not have
         try:
             get_scenario(
                 self.scenario, noise=self.noise, delta=self.delta, nu=self.nu, dim=self.dim
@@ -114,10 +115,12 @@ class ReplicateRecord:
     """One method's result on one replicate.
 
     ``seconds`` is the wall time of the estimate.  The spectral methods
-    of a replicate share one moment matrix, built at the largest basis
-    size that fits the series; its build time is charged to the first
-    method whose ``n_basis`` equals that size, so the ``seconds`` of the
-    other spectral methods cover their SVD and significance rule only.
+    of a replicate share one moment matrix, built at the largest
+    requested basis size; its build time is charged to the first method
+    whose ``n_basis`` equals that size, so the ``seconds`` of the other
+    spectral methods cover their SVD and significance rule only.  When
+    that build fails, as it does when the largest basis exceeds the
+    number of pairs, each spectral method builds and times its own.
     """
 
     replicate: int
@@ -251,15 +254,10 @@ def _run_method(
 
 def _shared_moments(parsed: tuple, series) -> tuple:
     """(moments, seconds): one moment matrix for every spectral method
-    of ``parsed`` that fits the series, at the largest such basis size,
-    and the time its build took.  ``(None, 0.0)`` when no spectral method
-    fits or the build fails; each method then builds on its own and
-    records its own error."""
-    sizes = [
-        cfg.n_basis
-        for kind, cfg in parsed
-        if kind == SPECTRAL_PREFIX and cfg.n_basis <= series.n_pairs
-    ]
+    of ``parsed``, at the largest requested basis size, and the time its
+    build took.  ``(None, 0.0)`` when no method is spectral or the build
+    fails; each method then builds on its own and records its own error."""
+    sizes = [cfg.n_basis for kind, cfg in parsed if kind == SPECTRAL_PREFIX]
     if not sizes:
         return None, 0.0
     start = time.perf_counter()
@@ -276,14 +274,13 @@ def _run_replicate(args) -> tuple:
     config, parsed, spec, n, replicate = args
     series, _ = simulate(spec, n, _data_seed(config, n, replicate))
     moments, build_seconds = _shared_moments(parsed, series)
-    size = 0 if moments is None else len(moments)
     records = []
     for kind, spectral_cfg in parsed:
-        fits = kind == SPECTRAL_PREFIX and spectral_cfg.n_basis <= size
+        shared = moments if kind == SPECTRAL_PREFIX else None
         # the build is charged once, to the first method of its size
-        charge = build_seconds if fits and spectral_cfg.n_basis == size else 0.0
+        charged = shared is not None and spectral_cfg.n_basis == len(shared)
+        charge = build_seconds if charged else 0.0
         build_seconds -= charge
-        shared = moments if fits else None
         records.append(
             _run_method(config, kind, spectral_cfg, series, replicate, shared, charge)
         )
@@ -484,5 +481,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """Parse a configuration file; one that is not UTF-8 is a ``DataError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from None
+    return parse_config_text(text)

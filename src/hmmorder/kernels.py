@@ -12,11 +12,13 @@ the pair operator.  Each closed form is written twice: in
 small N and the tests' oracle, and in ``_column_evaluator``, for every
 other value.  Their constants, phi_h(y, y) and the kernel's L2 norm come
 from ``_family_constants``, once per ``KernelSpec``, which accepts a
-bandwidth only if h, h^-d and every constant are positive finite: about
-4e-163 < h < 4e153 for the Gaussian family in d = 1 (2e-103 to 2e107 in
-d = 3), and h > 1e-154 for von Mises (1/h^2 may underflow to 0, the
-uniform kernel).  Bandwidths follow h = kappa * n**(-beta);
-``select_bandwidth`` alone decides the defaults of beta and kappa.
+bandwidth only if h, h^-d and every constant are positive finite and,
+for the Gaussian family, 4 pi h^2 is a normal float: about
+4.2e-155 < h < 4e153 for the Gaussian family in d = 1, 7.5e-155 to
+4e153 in d = 2 (2e-103 to 2e107 in d = 3), and h > 1e-154 for von
+Mises (1/h^2 may underflow to 0, the uniform kernel).  Bandwidths
+follow h = kappa * n**(-beta); ``select_bandwidth`` alone decides the
+defaults of beta and kappa.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +52,8 @@ def _family_constants(spec) -> tuple:
 
 def _checked(kernel, family_constants=lambda kernel: ()) -> tuple:
     """``family_constants(kernel)`` if h, h^-d (the practical threshold's
-    factor) and each constant are positive finite floats, else ValueError."""
+    factor) and each constant are positive finite floats, and for the
+    Gaussian family 4 pi h^2 is not subnormal, else ValueError."""
     if kernel.dim < 1:
         raise ValueError(f"dim must be >= 1, got {kernel.dim}")
     h = kernel.bandwidth
@@ -59,6 +62,8 @@ def _checked(kernel, family_constants=lambda kernel: ()) -> tuple:
         values = (h, h**-kernel.dim, *constants)
     except (OverflowError, ZeroDivisionError):
         values = (np.nan,)
+    if kernel.family == GAUSSIAN and 4.0 * np.pi * h * h < np.finfo(float).tiny:
+        values = (np.nan,)  # a subnormal 4 pi h^2 loses the Gaussian constant's precision
     if not all(np.isfinite(v) and v > 0 for v in values):
         raise ValueError(f"bandwidth {h} is out of range for {kernel.family} in d = {kernel.dim}")
     return constants

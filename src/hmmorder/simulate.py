@@ -322,9 +322,9 @@ def get_scenario(
     ``gauss-shift``, ``student-shift``, ``laplace-shift``, ``exp-shift``
     and ``shift`` (noise family from ``noise``).  A named shift scenario
     fixes its noise family, and the paper scenarios are univariate and
-    add no noise, so a ``noise`` other than the default that contradicts
-    the name, or ``dim != 1`` with a paper scenario, raises
-    ``ValueError``.
+    add neither noise nor a shift, so a ``noise`` other than the default
+    that contradicts the name, or ``dim != 1`` or ``delta != 5.0`` with
+    a paper scenario, raises ``ValueError``.
     """
     if name in SHIFT_SCENARIOS:
         if noise not in (GAUSSIAN_NOISE, SHIFT_SCENARIOS[name]):
@@ -339,6 +339,8 @@ def get_scenario(
             raise ValueError(f"scenario {name!r} has no noise family, got noise={noise!r}")
         if dim != 1:
             raise ValueError(f"scenario {name!r} is univariate, got dim={dim}")
+        if delta != 5.0:
+            raise ValueError(f"scenario {name!r} has no shift, got delta={delta!r}")
         return _paper_scenario(name, make_transition_nu(nu))
     raise KeyError(
         f"unknown scenario {name!r}; expected one of "

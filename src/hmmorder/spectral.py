@@ -1,7 +1,7 @@
 """Competing spectral order estimator.
 
-The data are mapped to [0, 1], projected on a trigonometric basis to
-form the moment matrix
+Univariate data are mapped to [0, 1] and projected on a trigonometric
+basis to form the moment matrix
 
     N[k, l] = (1/n) * sum_t phi_k(y_t) * phi_l(y_{t+1}),
 
@@ -16,11 +16,14 @@ error grows linearly in k.  The moment matrix is the transpose of
 ``gram.pair_moments`` over the basis, the same walk over the pairs as
 the operator estimator's pair product: only the features differ.
 
+``moment_matrix`` is the one builder, and the one place the input is
+checked: univariate data first, then a basis no larger than the number
+of pairs.  It maps the values onto [0, 1] only when they fall outside.
 phi_k does not depend on M, so the moment matrix for a basis of size
-M is the leading M x M block of the one for any larger basis.
-``moment_matrix`` builds it once at the largest size, and
-``spectral_order`` takes that block through ``moments=``; the harness
-shares one matrix between all spectral methods of a replicate.
+M is the leading M x M block of the one for any larger basis:
+``spectral_order`` takes that block through ``moments=``, and the
+harness shares one matrix, built at the largest requested basis,
+between all spectral methods of a replicate.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import build_selectors, pair_moments
-from .series import LINEAR, ObservedSeries
+from .series import ObservedSeries
 
 #: a singular value is significant above this multiple of the fitted line
 TAU_FACTOR = 1.5
@@ -62,20 +65,6 @@ class SpectralResult:
     config: SpectralConfig
 
 
-def scale_to_unit(series: ObservedSeries) -> ObservedSeries:
-    """Affinely map a univariate series onto [0, 1]."""
-    if series.dim != 1:
-        raise ValueError("scaling to the unit interval needs univariate data")
-    pts = series.points[:, 0]
-    lo, hi = float(pts.min()), float(pts.max())
-    if hi <= lo:
-        raise ValueError("degenerate data: constant series cannot be scaled")
-    return ObservedSeries(
-        sequences=tuple((s - lo) / (hi - lo) for s in series.sequences),
-        kind=LINEAR,
-    )
-
-
 def basis_matrix(values: np.ndarray, n_basis: int) -> np.ndarray:
     """Trigonometric basis phi_0 = 1, phi_k = sqrt(2) cos(pi k y) for
     k = 1..n_basis-1, one row per point.
@@ -102,16 +91,6 @@ def basis_matrix(values: np.ndarray, n_basis: int) -> np.ndarray:
     return rows.T
 
 
-def build_nhat(series: ObservedSeries, n_basis: int) -> np.ndarray:
-    """Pairwise basis moment matrix (1/n) sum_t phi(y_t) phi(y_{t+1})^T
-    over within-sequence pairs."""
-    if series.dim != 1:
-        raise ValueError("the spectral baseline handles univariate data only")
-    y = series.points[:, 0]
-    sel = build_selectors(series)
-    return pair_moments(sel, lambda a, b: basis_matrix(y[a:b], n_basis)).T
-
-
 def significance_line(sigma: np.ndarray, n_reg: int) -> np.ndarray:
     """Straight line fitted through the ``n_reg`` smallest singular
     values against their (1-based) index, evaluated at every index."""
@@ -124,18 +103,27 @@ def significance_line(sigma: np.ndarray, n_reg: int) -> np.ndarray:
 
 
 def moment_matrix(series: ObservedSeries, n_basis: int) -> np.ndarray:
-    """The ``n_basis`` x ``n_basis`` moment matrix of a univariate series.
+    """The ``n_basis`` x ``n_basis`` pairwise moment matrix
+    (1/n) sum_t phi(y_t) phi(y_{t+1})^T of a univariate series, over
+    within-sequence pairs.
 
-    Observations are mapped to the unit interval only when they fall
-    outside [0, 1].  The leading k x k block of the result is the
-    moment matrix for a basis of size k.
+    When the pooled values fall outside [0, 1] they are first mapped
+    onto it by (y - lo) / (hi - lo).  The leading k x k block of the
+    result is the moment matrix for a basis of size k.
     """
+    if series.dim != 1:
+        raise ValueError("the spectral baseline handles univariate data only")
     if n_basis > series.n_pairs:
         raise ValueError("n_basis must not exceed the number of pairs")
-    pts = series.points[:, 0]
-    if pts.min() < 0.0 or pts.max() > 1.0:
-        series = scale_to_unit(series)
-    return build_nhat(series, n_basis)
+    y = series.points[:, 0]
+    lo, hi = float(y.min()), float(y.max())
+    if lo < 0.0 or hi > 1.0:
+        if not 0.0 < hi - lo < np.inf:
+            raise ValueError(
+                f"degenerate data: values from {lo} to {hi} cannot be mapped onto [0, 1]"
+            )
+        y = (y - lo) / (hi - lo)
+    return pair_moments(build_selectors(series), lambda a, b: basis_matrix(y[a:b], n_basis)).T
 
 
 def spectral_order(

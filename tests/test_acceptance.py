@@ -36,7 +36,7 @@ from hmmorder.quadrature import (
 )
 from hmmorder.series import ObservedSeries
 from hmmorder.seriesio import DatasetDescriptor, export_diagnostics, load_series
-from hmmorder.spectral import build_nhat, significance_line
+from hmmorder.spectral import moment_matrix, significance_line
 
 from test_kernels import quad_cross_gaussian, quad_cross_vonmises
 from test_spectral import brute_force_nhat
@@ -274,7 +274,7 @@ class TestCriterion9:
         worst = 0.0
         for n_points, m in ((120, 8), (300, 14), (500, 20)):
             series = ObservedSeries.from_points(rng.uniform(0, 1, n_points))
-            got = build_nhat(series, m)
+            got = moment_matrix(series, m)
             ref = brute_force_nhat(series, m)
             worst = max(worst, float(np.max(np.abs(got - ref))))
         ok_nhat = worst < 1e-12

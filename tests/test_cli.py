@@ -54,6 +54,15 @@ class TestSimulateCommand:
         assert code == 3
         assert f"data error: {out}" in capsys.readouterr().err
 
+    def test_paper_scenario_delta_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        code = run_cli(
+            ["simulate", "--scenario", "beta3", "--delta", "7", "--n", "50", "--out", str(out)]
+        )
+        assert code == 2
+        assert "no shift" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_is_config_error(self, tmp_path):
         code = run_cli(
             ["simulate", "--scenario", "bogus", "--n", "10",
@@ -285,16 +294,21 @@ class TestExperimentCommand:
         assert code == 3
         assert f"data error: {config}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out_kind", ["missing", "directory"])
     @pytest.mark.parametrize("command", ["experiment", "compare-spectral"])
     def test_missing_out_directory_is_data_error_before_the_grid(
-        self, tmp_path, monkeypatch, capsys, command
+        self, tmp_path, monkeypatch, capsys, command, out_kind
     ):
         ran = []
         for name in ("run_experiment", "run_method_comparison"):
             monkeypatch.setattr(cli, name, ran.append)
         config = tmp_path / "exp.cfg"
         config.write_text("scenario = gauss-shift\nn_list = 60\nreplicates = 1\n")
-        out = tmp_path / "missing" / "o.csv"
+        if out_kind == "missing":
+            out = tmp_path / "missing" / "o.csv"
+        else:  # an existing directory, which cannot be written as a file
+            out = tmp_path / "o.csv"
+            out.mkdir()
         assert run_cli([command, "--config", str(config), "--out", str(out)]) == 3
         assert ran == []
         assert f"data error: {out}" in capsys.readouterr().err

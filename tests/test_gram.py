@@ -31,7 +31,7 @@ from hmmorder.kernels import (
 )
 from hmmorder.series import ObservedSeries
 from hmmorder.simulate import get_scenario, simulate
-from hmmorder.spectral import build_nhat
+from hmmorder.spectral import moment_matrix
 
 from test_kernels import EDGE_SIZES, cross_gram_matrix_full, gaussian_cross
 from test_spectral import brute_force_nhat
@@ -545,7 +545,7 @@ class TestPairMoments:
         series = ObservedSeries(
             sequences=tuple(rng.uniform(0, 1, m) for m in (2, 7, 8, 15, 23))
         )
-        got = build_nhat(series, 6)
+        got = moment_matrix(series, 6)
         np.testing.assert_allclose(got, brute_force_nhat(series, 6), rtol=0, atol=1e-12)
         f = rng.standard_normal((series.n_points, 5))
         sel = build_selectors(series)

@@ -138,13 +138,12 @@ class TestRunExperiment:
 
     def test_one_moment_matrix_per_replicate(self, monkeypatch):
         sizes = []
-        build_nhat = spectral.build_nhat
 
-        def counting_build_nhat(series, n_basis):
+        def counting_moment_matrix(series, n_basis):
             sizes.append(n_basis)
-            return build_nhat(series, n_basis)
+            return spectral.moment_matrix(series, n_basis)
 
-        monkeypatch.setattr(spectral, "build_nhat", counting_build_nhat)
+        monkeypatch.setattr(harness, "moment_matrix", counting_moment_matrix)
         config = small_config(
             scenario="beta3", methods=("spectral:20:10", "operator", "spectral:40:20")
         )
@@ -326,7 +325,7 @@ DEMOTED_NAMES = [
             "Beta GaussianLoc HmmSpec ShiftNoise VonMisesLoc "
             "make_transition_nu stationary_distribution",
         ),
-        ("spectral", "SpectralResult build_nhat scale_to_unit"),
+        ("spectral", "SpectralResult"),
     )
     for name in names.split()
 ]
@@ -498,6 +497,7 @@ class TestConfigParsing:
             ("scenario = gauss-shift\nnoise = laplace\n", "gaussian noise"),
             ("scenario = beta3\nd = 2\n", "univariate"),
             ("scenario = vm3\nnoise = laplace\n", "no noise family"),
+            ("scenario = beta3\ndelta = 7\n", "no shift"),
             ("scenario = nope\n", "unknown scenario"),
         ],
     )

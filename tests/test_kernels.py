@@ -552,6 +552,14 @@ class TestBandwidth:
         with pytest.raises(ValueError, match=re.escape(f"bandwidth {h} is out of range")):
             KernelSpec(family, h, dim)
 
+    def test_subnormal_gaussian_variance_rejected(self):
+        # 4 pi h^2 is subnormal below h = 4.2e-155; at h = 1e-160 the
+        # constant (4 pi h^2)^(-1/2) came out 7.5e-6 off
+        with pytest.raises(ValueError, match=re.escape("bandwidth 1e-160 is out of range")):
+            KernelSpec("gaussian", 1e-160)
+        spec = KernelSpec("gaussian", 1e-150)
+        assert spec._norm == pytest.approx(1e150 / np.sqrt(4.0 * np.pi), rel=1e-15)
+
     def test_vonmises_huge_bandwidth_is_the_uniform_kernel(self):
         # the concentration underflows to 0, which is a proper kernel
         spec = KernelSpec("vonmises", 1e200)

@@ -346,6 +346,12 @@ class TestScenarios:
             get_scenario(name, noise="laplace")
         assert get_scenario(name, noise="gaussian").n_states == 3
 
+    @pytest.mark.parametrize("name", ["beta3", "gauss3", "vm3"])
+    def test_paper_scenarios_take_no_shift(self, name):
+        with pytest.raises(ValueError, match="no shift"):
+            get_scenario(name, delta=7.0)
+        assert get_scenario(name, delta=5.0).n_states == 3
+
     def test_named_shift_noise_must_agree(self):
         with pytest.raises(ValueError, match="gaussian noise"):
             get_scenario("gauss-shift", noise="laplace")

@@ -9,9 +9,7 @@ from hmmorder.simulate import paper_scenarios, simulate
 from hmmorder.spectral import (
     SpectralConfig,
     basis_matrix,
-    build_nhat,
     moment_matrix,
-    scale_to_unit,
     significance_line,
     spectral_order,
 )
@@ -56,25 +54,57 @@ def build_nhat_per_sequence(series, n_basis, block=2048):
 
 
 class TestScaleToUnit:
+    """``moment_matrix`` maps values outside [0, 1] onto it, and only those."""
+
     def test_simple(self):
-        series = ObservedSeries.from_points(np.array([0.0, 5.0, 10.0]))
-        scaled = scale_to_unit(series)
-        assert scaled.points[:, 0].tolist() == [0.0, 0.5, 1.0]
+        # [0, 5, 10] maps to [0, 0.5, 1]
+        got = moment_matrix(ObservedSeries.from_points(np.array([0.0, 5.0, 10.0])), 2)
+        ref = moment_matrix(ObservedSeries.from_points(np.array([0.0, 0.5, 1.0])), 2)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", ["gauss3", "vm3"])
+    @pytest.mark.parametrize("n_sequences", [1, 3])
+    def test_out_of_range_equals_hand_mapped(self, name, n_sequences):
+        spec = paper_scenarios()[name]
+        series = ObservedSeries(
+            sequences=tuple(simulate(spec, 400, j)[0].sequences[0] for j in range(n_sequences))
+        )
+        pts = series.points
+        lo, hi = float(pts.min()), float(pts.max())
+        assert lo < 0.0 or hi > 1.0
+        mapped = ObservedSeries(
+            sequences=tuple((s - lo) / (hi - lo) for s in series.sequences)
+        )
+        assert np.array_equal(moment_matrix(series, 20), moment_matrix(mapped, 20))
 
     def test_unit_range_unchanged(self):
-        series = ObservedSeries.from_points(np.array([0.0, 0.25, 1.0]))
-        scaled = scale_to_unit(series)
-        assert np.allclose(scaled.points, series.points)
-
-    def test_order_preserved(self):
-        rng = np.random.default_rng(0)
-        y = rng.normal(0, 3, 100)
-        scaled = scale_to_unit(ObservedSeries.from_points(y)).points[:, 0]
-        assert np.array_equal(np.argsort(y), np.argsort(scaled))
+        # values inside [0, 1] are used as they are, not stretched to fill it
+        rng = np.random.default_rng(5)
+        series = ObservedSeries.from_points(rng.uniform(0.2, 0.7, 200))
+        np.testing.assert_allclose(
+            moment_matrix(series, 6), brute_force_nhat(series, 6), rtol=0, atol=1e-12
+        )
 
     def test_constant_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            scale_to_unit(ObservedSeries.from_points(np.full(5, 2.0)))
+        with pytest.raises(ValueError, match="from 2.0 to 2.0 cannot be mapped"):
+            moment_matrix(ObservedSeries.from_points(np.full(5, 2.0)), 2)
+
+    def test_unbounded_range_rejected(self):
+        # hi - lo overflows, so no affine map onto [0, 1] is finite
+        series = ObservedSeries.from_points(np.array([-1e308, 0.0, 1e308]))
+        with pytest.raises(ValueError, match="cannot be mapped"):
+            moment_matrix(series, 2)
+
+    @pytest.mark.parametrize("low", [0.0, -3.0])
+    def test_bivariate_refused_alike_inside_and_outside_unit_range(self, low):
+        rng = np.random.default_rng(6)
+        series = ObservedSeries.from_points(rng.uniform(low, 1.0, (50, 2)))
+        message = "^the spectral baseline handles univariate data only$"
+        with pytest.raises(ValueError, match=message):
+            moment_matrix(series, 4)
+        # the dimension is checked before the basis size
+        with pytest.raises(ValueError, match=message):
+            moment_matrix(series, 100)
 
 
 class TestBasisMatrix:
@@ -121,21 +151,23 @@ class TestBasisMatrix:
 
 
 class TestBuildNhat:
+    """The moment matrix N-hat as ``moment_matrix`` builds it."""
+
     def test_constant_series(self):
         series = ObservedSeries.from_points(np.full(10, 0.3))
-        nhat = build_nhat(series, 4)
+        nhat = moment_matrix(series, 4)
         phi = basis_matrix(np.array([0.3]), 4)[0]
         assert np.allclose(nhat, np.outer(phi, phi), atol=1e-14)
 
     def test_top_left_entry_is_one(self):
         rng = np.random.default_rng(1)
         series = ObservedSeries.from_points(rng.uniform(0, 1, 60))
-        assert build_nhat(series, 6)[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert moment_matrix(series, 6)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         series = ObservedSeries.from_points(rng.uniform(0, 1, 200))
-        got = build_nhat(series, 6)
+        got = moment_matrix(series, 6)
         assert np.allclose(got, brute_force_nhat(series, 6), atol=1e-12)
 
     def test_matches_brute_force_multisequence(self):
@@ -143,7 +175,7 @@ class TestBuildNhat:
         series = ObservedSeries(
             sequences=(rng.uniform(0, 1, 40), rng.uniform(0, 1, 25))
         )
-        got = build_nhat(series, 5)
+        got = moment_matrix(series, 5)
         assert np.allclose(got, brute_force_nhat(series, 5), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
