@@ -9,9 +9,15 @@ cross inner product
 which has a closed form for both families and fills the Gram matrix of
 the pair operator.  Each closed form is written twice: in
 ``cross_gram_matrix``, the whole matrix for the dense square root of
-small N and the tests' oracle, and in ``_column_evaluator``, for every
-other value.  Their constants, phi_h(y, y) and the kernel's L2 norm come
-from ``_family_constants``, once per ``KernelSpec``, which accepts a
+small N and the tests' oracle, and in ``_column_evaluator``, for the
+Gram columns of the Cholesky factor and every single value.  The von
+Mises form also has a Fourier series, whose weights
+``vonmises_harmonics`` gives: they make the Gram matrix's trigonometric
+factor, which needs no kernel value at all.  The one special function,
+the scaled Bessel function I0e, is Cephes' Chebyshev series in numpy,
+so the package imports no scipy.  The constants, phi_h(y, y) and the
+kernel's L2 norm come from ``_family_constants``, once per
+``KernelSpec``, which accepts a
 bandwidth only if h, h^-d and every constant are positive finite and,
 for the Gaussian family, 4 pi h^2 is a normal float: about
 4.2e-155 < h < 4e153 for the Gaussian family in d = 1, 7.5e-155 to
@@ -21,6 +27,7 @@ follow h = kappa * n**(-beta); ``select_bandwidth`` alone decides the
 defaults of beta and kappa.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -147,16 +154,137 @@ def _check_finite(u) -> np.ndarray:
     return arr
 
 
+#: Chebyshev coefficients of exp(-x) I0(x) in x/2 - 2 on [0, 8], and of
+#: exp(-x) sqrt(x) I0(x) in 32/x - 2 on (8, inf): Cephes ``i0.c``
+#: (S. L. Moshier), the coefficients numpy's ``i0`` also uses
+_I0E_A = (
+    -4.41534164647933937950e-18,
+    3.33079451882223809783e-17,
+    -2.43127984654795469359e-16,
+    1.71539128555513303061e-15,
+    -1.16853328779934516808e-14,
+    7.67618549860493561688e-14,
+    -4.85644678311192946090e-13,
+    2.95505266312963983461e-12,
+    -1.72682629144155570723e-11,
+    9.67580903537323691224e-11,
+    -5.18979560163526290666e-10,
+    2.65982372468238665035e-9,
+    -1.30002500998624804212e-8,
+    6.04699502254191894932e-8,
+    -2.67079385394061173391e-7,
+    1.11738753912010371815e-6,
+    -4.41673835845875056359e-6,
+    1.64484480707288970893e-5,
+    -5.75419501008210370398e-5,
+    1.88502885095841655729e-4,
+    -5.76375574538582365885e-4,
+    1.63947561694133579842e-3,
+    -4.32430999505057594430e-3,
+    1.05464603945949983183e-2,
+    -2.37374148058994688156e-2,
+    4.93052842396707084878e-2,
+    -9.49010970480476444210e-2,
+    1.71620901522208775349e-1,
+    -3.04682672343198398683e-1,
+    6.76795274409476084995e-1,
+)
+_I0E_B = (
+    -7.23318048787475395456e-18,
+    -4.83050448594418207126e-18,
+    4.46562142029675999901e-17,
+    3.46122286769746109310e-17,
+    -2.82762398051658348494e-16,
+    -3.42548561967721913462e-16,
+    1.77256013305652638360e-15,
+    3.81168066935262242075e-15,
+    -9.55484669882830764870e-15,
+    -4.15056934728722208663e-14,
+    1.54008621752140982691e-14,
+    3.85277838274214270114e-13,
+    7.18012445138366623367e-13,
+    -1.79417853150680611778e-12,
+    -1.32158118404477131188e-11,
+    -3.14991652796324136454e-11,
+    1.18891471078464383424e-11,
+    4.94060238822496958910e-10,
+    3.39623202570838634515e-9,
+    2.26666899049817806459e-8,
+    2.04891858946906374183e-7,
+    2.89137052083475648297e-6,
+    6.88975834691682398426e-5,
+    3.36911647825569408990e-3,
+    8.04490411014108831608e-1,
+)
+
+
+def _chbevl(x, coefs):
+    """Clenshaw's sum of a Chebyshev series at x, in Cephes' order of
+    operations (``chbevl.c``)."""
+    b0, b1 = coefs[0], 0.0
+    for c in coefs[1:]:
+        b2, b1 = b1, b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
 def _i0e(x):
-    """Exponentially scaled Bessel function I0.
+    """Exponentially scaled Bessel function I0, exp(-|x|) I0(x), for a
+    scalar or an array: Cephes ``i0e``, bit for bit the value of
+    ``scipy.special.i0e``.  A scalar is summed in Python floats, at a
+    twentieth of the cost of 0-d array arithmetic."""
+    x = np.abs(np.asarray(x, dtype=float))
+    if x.ndim == 0:
+        v = float(x)
+        if v <= 8.0:
+            return _chbevl(v / 2.0 - 2.0, _I0E_A)
+        return _chbevl(32.0 / v - 2.0, _I0E_B) / math.sqrt(v)
+    out = np.empty_like(x)
+    low = x <= 8.0
+    out[low] = _chbevl(x[low] / 2.0 - 2.0, _I0E_A)
+    high = x[~low]
+    out[~low] = _chbevl(32.0 / high - 2.0, _I0E_B) / np.sqrt(high)
+    return out
 
-    ``scipy.special`` is loaded on first use: it imports
-    ``numpy.testing`` and with it ``concurrent.futures``, which only the
-    von Mises kernel needs to pay for.
+
+def vonmises_harmonics(kap: float, tol: float, m_max: int):
+    """rho_m = I_m(kap)/I_0(kap) for m = 1..M, the weights of the Fourier
+    series of the von Mises cross inner product (Neumann's addition
+    theorem)
+
+        phi_h(a, b) = (1/2 pi) [1 + 2 sum_{m>=1} rho_m^2 cos(m (a - b))],
+
+    for the smallest M whose omitted part (1/pi) sum_{m>M} rho_m^2 is at
+    most ``tol``, or None if that M exceeds ``m_max``.
+
+    Amos's bound I_m/I_{m-1} <= u_m = kap/(m - 1/2 + hypot(m - 1/2, kap)),
+    which decreases in m, bounds the omitted part beyond any m by the
+    geometric series (u_1 ... u_{m+1})^2 / (1 - u_{m+1}^2).  The ratios
+    come from the backward recurrence I_m/I_{m-1} = kap/(2m + kap
+    I_{m+1}/I_m), started from u at the first m whose bound is below
+    eps * tol (or at m_max) and multiplied up; each step down scales the
+    start's relative error by I_m/I_{m-1} * I_{m+1}/I_m < 1, so it
+    reaches each rho_m^2 at the level of that bound.  The work is
+    O(m_max) vector operations and a loop to the start.  Amos, Math.
+    Comp. 28 (1974) 239-251.
     """
-    from scipy.special import i0e
-
-    return i0e(x)
+    half = np.arange(0.5, m_max + 1.0)
+    u = kap / (half + np.hypot(half, kap))  # u[m] bounds I_{m+1}/I_m
+    with np.errstate(divide="ignore"):  # u = 1 only when kap >> m_max
+        beyond = np.cumprod(u) ** 2 / (1.0 - u * u) / np.pi  # beyond m, m = 0..m_max
+    if beyond[-1] > tol:
+        return None
+    small = beyond <= np.finfo(float).eps * tol
+    top = int(np.argmax(small)) if small[-1] else m_max
+    ratios = np.empty(top)
+    r = float(u[top])
+    for m in range(top, 0, -1):
+        r = kap / (2.0 * m + kap * r)
+        ratios[m - 1] = r
+    rho = np.cumprod(ratios)
+    # omitted part beyond M = 0..top, summed from the smallest term
+    omitted = np.append(np.cumsum((rho * rho)[::-1])[::-1], 0.0) / np.pi + beyond[top]
+    return rho[: int(np.argmax(omitted <= tol))]
 
 
 def kernel_eval(spec: KernelSpec, u) -> np.ndarray | float:

@@ -1,5 +1,6 @@
 """Tail statistics, threshold rules and the counting estimator."""
 
+import functools
 import math
 
 import numpy as np
@@ -307,6 +308,33 @@ class TestFactorPathRobustness:
         est = estimate_order(series, bandwidth=0.003)
         assert np.all(np.isfinite(est.r_values)) and est.r_values[0] > 0
         assert np.all(np.diff(est.r_values) <= 1e-12 * est.r_values[0])
+
+
+@functools.cache
+def vm3_estimate():
+    """A vm3 series of 401 points and its estimate."""
+    series, _ = simulate(get_scenario("vm3"), 400, seed=0)
+    return series, estimate_order(series)
+
+
+class TestRotationInvariance:
+    """Circular data above FULL_SVD_MAX_N points, on the trigonometric
+    factor: a rotation turns each harmonic's (cos, sin) pair by an
+    orthogonal matrix, which the pair product's spectrum does not see."""
+
+    @given(st.floats(-100.0, 100.0))
+    @settings(max_examples=30, deadline=None)
+    def test_rotation_leaves_the_estimate_unchanged(self, angle):
+        series, base = vm3_estimate()
+        assert series.n_points > FULL_SVD_MAX_N
+        turned = ObservedSeries(
+            sequences=tuple(seq + angle for seq in series.sequences), kind="circular"
+        )
+        est = estimate_order(turned)
+        assert est.bandwidth == base.bandwidth and est.tau == base.tau
+        assert est.l_hat == base.l_hat
+        r = base.r_values
+        assert np.max(np.abs(est.r_values - r)) <= 1e-12 * r[0]
 
 
 class TestBandwidthRange:

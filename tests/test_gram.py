@@ -17,6 +17,7 @@ from hmmorder.gram import (
     pair_moments,
     psd_sqrt,
     singular_spectrum,
+    trigonometric_factor,
 )
 from hmmorder.estimator import count_exceedances, estimate_order, tail_stats
 from hmmorder.kernels import (
@@ -33,7 +34,7 @@ from hmmorder.series import ObservedSeries
 from hmmorder.simulate import get_scenario, simulate
 from hmmorder.spectral import moment_matrix
 
-from test_kernels import EDGE_SIZES, cross_gram_matrix_full, gaussian_cross
+from test_kernels import EDGE_SIZES, cross_gram_matrix_full, gaussian_cross, omitted_harmonics
 from test_spectral import brute_force_nhat
 
 
@@ -497,6 +498,75 @@ class TestCompaction:
     def test_nan_after_compaction_names_the_original_points(self):
         with pytest.raises(FloatingPointError, match="points 90 and 70 "):
             cholesky_factor(LATE_PAIR_SERIES, late_pair_kernel(np.nan))
+
+
+class TestTrigonometricFactor:
+    """The von Mises factor from the Fourier series of phi_h, against
+    the Gram matrix and the pivoted Cholesky factor."""
+
+    @pytest.mark.parametrize("kap", [None, 0.5, 100.0], ids=["default", "kap0.5", "kap100"])
+    def test_factor_reproduces_the_gram(self, kap):
+        series, _ = simulate(get_scenario("vm3"), 599, seed=3)
+        h = select_bandwidth(BandwidthRule(), series) if kap is None else kap**-0.5
+        kernel = KernelSpec("vonmises", h)
+        f = trigonometric_factor(series, kernel)
+        assert f.shape[1] % 2 == 1 and f.shape[1] < series.n_points
+        w = cross_gram_matrix(kernel, series.points)
+        assert np.max(np.abs(f @ f.T - w)) <= 1e-12 * kernel._diag
+        # the fewest harmonics whose omitted part is below the stop level
+        count = f.shape[1] // 2
+        omitted = omitted_harmonics(kernel.concentration)
+        assert omitted[count] <= series.n_points * np.finfo(float).eps * kernel._diag
+        assert omitted[count - 1] > series.n_points * np.finfo(float).eps * kernel._diag
+
+    def test_matches_cholesky_at_64000_points(self):
+        # two exact paths check each other where no dense oracle runs
+        series, _ = simulate(get_scenario("vm3"), 64000, seed=0)
+        est = estimate_order(series)
+        kernel = KernelSpec("vonmises", est.bandwidth)
+        features = trigonometric_factor(series, kernel)
+        assert features is not None
+        assert np.array_equal(est.r_values, factor_r(features, series))
+        del features
+        ref = factor_r(cholesky_factor(series, kernel), series)
+        assert est.l_hat == count_exceedances(ref, est.tau)
+        assert np.max(np.abs(est.r_values - ref)) <= 1e-9 * ref[0]
+
+    def test_cholesky_when_more_features_than_points(self, monkeypatch):
+        # kappa = 1.1e5 needs about 5800 features for 1001 points
+        import hmmorder.gram as gram_mod
+
+        series, _ = simulate(get_scenario("vm3"), 1000, seed=0)
+        kernel = KernelSpec("vonmises", 0.003)
+        assert trigonometric_factor(series, kernel) is None
+        factors = []
+
+        def cholesky(*args):
+            factors.append(cholesky_factor(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(gram_mod, "cholesky_factor", cholesky)
+        spec = estimate_operator_matrix(series, kernel)
+        assert len(factors) == 1
+        ref = singular_spectrum(build_shifted_product(factors[0], build_selectors(series)))
+        assert np.array_equal(spec.sigma, ref.sigma)
+
+    @pytest.mark.parametrize("scenario", ["vm3", "gauss-shift"])
+    def test_only_von_mises_takes_the_features(self, monkeypatch, scenario):
+        import hmmorder.gram as gram_mod
+
+        def refuse(series, kernel):
+            raise AssertionError(f"wrong factor for {kernel.family}")
+
+        name = "cholesky_factor" if scenario == "vm3" else "trigonometric_factor"
+        monkeypatch.setattr(gram_mod, name, refuse)
+        series, _ = simulate(get_scenario(scenario), 300, seed=1)
+        assert np.all(np.isfinite(estimate_order(series).r_values))
+
+    def test_dimension_is_checked(self):
+        series = ObservedSeries.from_points(np.zeros((300, 2)))
+        with pytest.raises(ValueError, match="points must be"):
+            trigonometric_factor(series, KernelSpec("vonmises", 0.5))
 
 
 class TestPairMatrices:

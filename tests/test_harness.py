@@ -370,13 +370,26 @@ class TestImports:
         assert run_python(code) == "False"
 
     def test_gaussian_estimate_loads_no_special_functions(self):
-        # only the von Mises constants need scipy.special's Bessel
-        # function; a Gaussian KernelSpec checks its constants without it
+        # the package evaluates its one Bessel function, I0e, in numpy;
+        # scipy.special's import alone costs about 19 MB of resident memory
         code = (
             "import sys; from hmmorder import estimate_order; "
             "from hmmorder.simulate import get_scenario, simulate; "
             "[estimate_order(simulate(get_scenario('gauss-shift'), n, 0)[0]) "
             "for n in (50, 600)]; "
+            "print('scipy.special' in sys.modules)"
+        )
+        assert run_python(code) == "False"
+
+    def test_vonmises_estimate_loads_no_special_functions(self):
+        # the dense square root at n = 50, the trigonometric factor at
+        # n = 600 and the Cholesky factor at h = 0.003, where the
+        # features would outnumber the points
+        code = (
+            "import sys; from hmmorder import estimate_order; "
+            "from hmmorder.simulate import get_scenario, simulate; "
+            "[estimate_order(simulate(get_scenario('vm3'), n, 0)[0], bandwidth=h) "
+            "for n, h in ((50, None), (600, None), (600, 0.003))]; "
             "print('scipy.special' in sys.modules)"
         )
         assert run_python(code) == "False"

@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import i0e
+from scipy.special import i0e, ive
 
 from hmmorder.kernels import (
     GAUSSIAN_L2_SQ,
+    _i0e,
     BandwidthRule,
     CustomKernel,
     KernelSpec,
@@ -20,6 +21,7 @@ from hmmorder.kernels import (
     kernel_l2_norm_sq,
     select_bandwidth,
     silverman_kappa,
+    vonmises_harmonics,
 )
 from hmmorder.series import ObservedSeries
 
@@ -97,6 +99,83 @@ def quad_cross_vonmises(a, b, h):
         limit=400,
     )
     return val
+
+
+class TestI0e:
+    """The package's numpy I0e against scipy.special.i0e, bit for bit."""
+
+    EDGES = (0.0, 8.0, float(np.nextafter(8.0, np.inf)))
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(51)
+        return {
+            "[0, 8]": rng.uniform(0.0, 8.0, 100_000),
+            "(8, 100]": 100.0 - rng.uniform(0.0, 92.0, 100_000),
+            "log-uniform to 1e300": np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 100_000)),
+        }
+
+    def test_arrays_match_scipy(self):
+        for label, x in {**self.draws(), "edges": np.array(self.EDGES)}.items():
+            assert np.array_equal(_i0e(x), i0e(x)), label
+        grid = np.array(self.EDGES).reshape(3, 1) * np.ones((1, 2))
+        assert _i0e(grid).shape == (3, 2) and np.array_equal(_i0e(grid), i0e(grid))
+
+    def test_scalars_match_scipy(self):
+        for x in self.EDGES + tuple(v[:200:10] for v in self.draws().values()):
+            for v in np.atleast_1d(x):
+                got = _i0e(float(v))
+                assert np.ndim(got) == 0 and got == i0e(float(v)), v
+
+
+def omitted_harmonics(kap, m_top=4000):
+    """(1/pi) sum_{m>M} rho_m^2 for M = 0..m_top - 1, rho_m from
+    scipy.special.ive, each sum taken from its smallest term."""
+    m = np.arange(1, m_top + 1)
+    sq = (ive(m, kap) / ive(0, kap)) ** 2
+    return np.cumsum(sq[::-1])[::-1] / np.pi
+
+
+class TestVonmisesHarmonics:
+    """The Fourier weights rho_m = I_m(kap)/I_0(kap) of the von Mises
+    cross inner product, and the count M of the stop rule."""
+
+    @pytest.mark.parametrize("kap", [1e-3, 0.5, 12.6, 40.0, 100.0])
+    def test_ratios_match_scipy(self, kap):
+        tol = 2001 * np.finfo(float).eps * KernelSpec("vonmises", kap**-0.5)._diag
+        rho = vonmises_harmonics(kap, tol, 1000)
+        m = np.arange(1, rho.size + 1)
+        assert rho.size >= 1
+        assert np.max(np.abs(rho / (ive(m, kap) / ive(0, kap)) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("kap", [0.5, 8.4, 12.6, 40.0, 100.0])
+    @pytest.mark.parametrize("n", [601, 2001, 64001])
+    def test_count_is_minimal_under_the_stop_rule(self, kap, n):
+        tol = n * np.finfo(float).eps * KernelSpec("vonmises", kap**-0.5)._diag
+        count = vonmises_harmonics(kap, tol, (n - 1) // 2).size
+        omitted = omitted_harmonics(kap)
+        assert omitted[count] <= tol
+        assert count == 0 or omitted[count - 1] > tol
+
+    def test_series_reproduces_the_closed_form(self):
+        spec = KernelSpec("vonmises", 0.3)
+        rho = vonmises_harmonics(spec.concentration, 1e-17, 100)
+        d = np.linspace(0.0, np.pi, 7)
+        harmonics = np.cos(np.outer(d, np.arange(1, rho.size + 1)))
+        series = (1.0 + 2.0 * harmonics @ rho**2) / (2 * np.pi)
+        exact = [cross_gram(spec, [0.0], [v]) for v in d]
+        assert np.allclose(series, exact, rtol=0.0, atol=1e-15 * spec._diag)
+
+    def test_none_when_more_than_m_max_harmonics_are_needed(self):
+        kap = 0.003**-2  # about 5800 features
+        assert vonmises_harmonics(kap, 1e-13, 500) is None
+        tol = 1e-13
+        count = vonmises_harmonics(10.0, tol, 1000).size
+        assert vonmises_harmonics(10.0, tol, count - 1) is None
+        assert vonmises_harmonics(10.0, tol, count).size == count
+
+    def test_uniform_kernel_has_no_harmonics(self):
+        assert vonmises_harmonics(0.0, 1e-13, 100).size == 0
 
 
 class TestKernelEval:
