@@ -25,14 +25,14 @@ F comes from, split at N = FULL_SVD_MAX_N points:
   stop level on each diagonal entry: 33-63 columns from n = 600 to
   64000 at the default bandwidth.  When 2M + 1 would exceed N (tiny
   bandwidths), the Cholesky factor below is smaller and takes over;
-* otherwise a greedy pivoted Cholesky factor of rank k built from
-  k + 1 kernel columns (``cholesky_factor``), which stops once the
-  largest residual diagonal is at the rounding level of W's own
-  entries.  Every 64 pivots it moves the pivoted points to the front,
-  and later columns are evaluated and updated on the points not yet
-  pivoted alone.  No N x N array is allocated unless k reaches N; the
-  d = 1 Grams have k of 30-70 up to n = 64000, the d = 3 Grams at
-  n = 1000 about 650-720.
+* otherwise a pivoted Cholesky factor of rank k (``cholesky_factor``),
+  which stops once the largest residual diagonal is at the rounding
+  level of W's own entries.  Its first 64 pivots are greedy, one
+  kernel column and one GEMV each; after them it takes up to 64 pivots
+  per panel, chosen on a 64 x 64 candidate block and formed on the
+  points not yet pivoted by one GEMM, at O(N k^2) in all.  No N x N
+  array is allocated unless k reaches N; the d = 1 Grams have k of
+  30-70 up to n = 64000, the d = 3 Grams at n = 1000 about 660-730.
 
 The points' dimension is checked in ``kernels``, before any work here.
 
@@ -67,9 +67,15 @@ FULL_SVD_MAX_N = 200
 
 DEFAULT_L_MAX = 10
 
-#: pivots between two compactions of ``cholesky_factor``, and the
-#: rows of its first factor buffer
+#: greedy pivots that ``cholesky_factor`` takes one at a time, and the
+#: candidates of each of its later panels
 _PIVOT_BLOCK = 64
+
+#: a panel of ``cholesky_factor`` accepts a candidate only while its
+#: residual is above this share of the largest residual at the panel's
+#: start: relaxed pivoting, whose element growth stays within
+#: 1/sqrt(_PANEL_RELAX) of greedy
+_PANEL_RELAX = 1e-3
 
 #: pairs per block of ``pair_moments``, which therefore holds the
 #: features of at most ``_PAIR_BLOCK + 1`` points at once
@@ -146,84 +152,136 @@ def build_gram(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
 
 
 def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
-    """N x k factor F with F F^T = W, by greedy pivoted Cholesky.
+    """N x k factor F with F F^T = W, by pivoted Cholesky in panels.
 
-    Each step takes the point with the largest residual diagonal as the
-    pivot, evaluates its Gram column and subtracts the part the
-    previous columns explain.  It stops once the largest residual
-    diagonal is at most N * eps * max diag W, the rounding level of
-    W's own entries.  ``LinAlgError`` says W is not PSD when a
-    residual diagonal lies below psd_sqrt's floor, -1e-12 * max diag W,
-    or when the residual column W[:, p] - F F[p]^T at the stopping
-    pivot p exceeds the stop level plus 1e-12 * max diag W; a zero
-    diagonal with nonzero off-diagonal entries shows only there.
+    The first ``_PIVOT_BLOCK`` pivots are greedy: each step takes the
+    point with the largest residual diagonal, evaluates its Gram column
+    on every point and subtracts the part the previous columns explain,
+    so a factor of rank below ``_PIVOT_BLOCK`` is the greedy one, bit
+    for bit.  After them each step is a panel:
 
-    The pivots move to the front of one permutation of the points every
-    ``_PIVOT_BLOCK`` pivots, and the unpivoted points follow in their
-    original relative order, so ``argmax`` breaks ties by the original
-    index as without the permutation.  Later columns are evaluated, and
-    updated, on the unpivoted points alone, and their entries on earlier
-    pivots are zero: the lower-trapezoidal factor of LAPACK's dpstf2.
-    The permutation is undone once at the end.  The cost is k + 1
-    kernel columns and O(N k^2) operations, and W is never formed.
-    Harbrecht, Peters & Schneider (2012).
+    * its candidates are the ``_PIVOT_BLOCK`` points not yet pivoted
+      with the largest residual diagonals, ties broken by original
+      index;
+    * greedy pivoted Cholesky on their residual block (their kernel
+      block less one small GEMM) accepts candidates while the largest
+      in-panel residual is above both the stop level and
+      ``_PANEL_RELAX`` times the largest residual at the panel's start;
+    * the accepted candidates' kernel columns are evaluated on the
+      unpivoted points in one call, updated by one GEMM, and turned into
+      columns of F by one product with the inverse of the triangular
+      factor of their block.
+
+    The relaxed rule keeps element growth within 1/sqrt(_PANEL_RELAX)
+    of greedy; accepting down to the stop level alone drove a d = 3
+    residual diagonal below the floor below.  Any pivot set gives a
+    Nystrom factor, so F is exact to the same level as greedy, at a
+    rank 1-3% above it on the d = 3 Grams.
+
+    It stops once the largest residual diagonal is at most N * eps *
+    max diag W, the rounding level of W's own entries.
+    ``LinAlgError`` says W is not PSD when a residual diagonal lies
+    below psd_sqrt's floor, -1e-12 * max diag W, or when the residual
+    column W[:, p] - F F[p]^T at the stopping pivot p exceeds the stop
+    level plus 1e-12 * max diag W; a zero diagonal with nonzero
+    off-diagonal entries shows only there.  A non-finite kernel value
+    raises ``FloatingPointError`` naming its two points.
+
+    The columns are stored over the points in their original order, a
+    panel's columns zero on earlier pivots, in a buffer that grows by
+    one panel at a time, so F is never permuted or copied.  The cost is
+    about k kernel columns on the unpivoted points, a 64 x 64 block per
+    panel, and O(N k^2) operations, nearly all in GEMM; W is never
+    formed.  Harbrecht, Peters & Schneider (2012); Chen, Epperly, Tropp
+    & Webber (2022).
     """
     pts = series.points
     n = pts.shape[0]
     resid = gram_diagonal(kernel, pts)
-    column = _column_evaluator(kernel)
+    columns = _column_evaluator(kernel)
     d_max = float(np.max(resid))
     stop = n * np.finfo(float).eps * d_max
-    # rows[k] is column k of F, so each update reads one contiguous block
-    # per column.  Positions k0: hold the unpivoted points and the pivots
-    # taken since the last compaction, in original order, and order[i]
-    # names the point in position i; r, x, names and f view positions k0:
-    # (series.points is a fresh array, so pts may be permuted in place)
-    block = min(n, _PIVOT_BLOCK)
-    rows = np.empty((block, n))
-    order = np.arange(n)
-    r, x, names, f = resid, pts, order, rows
-    pivots = []
-    k = k0 = 0
+    # rows[j] is column j of F, so each update reads one contiguous block
+    # per column
+    rows = np.empty((min(n, _PIVOT_BLOCK), n))
+    pivoted = np.zeros(n, dtype=bool)
+    k = 0
     while True:
-        if len(pivots) == block and k < n:
-            rest = np.ones(n - k0, dtype=bool)
-            rest[pivots] = False
-            moved = np.concatenate([pivots, np.flatnonzero(rest)])
-            for a in (r, x, names):
-                a[:] = a[moved]
-            f[:k] = f[:k, moved]
-            k0, pivots = k, []
-            # columns not yet written are zero on the compacted pivots
-            rows[k:, :k0] = 0.0
-            r, x, names, f = resid[k0:], pts[k0:], order[k0:], rows[:, k0:]
-        p = int(np.argmax(r))
-        col = _check_column(kernel, column(x, x[p]), p, names)
-        col -= f[:k].T @ f[:k, p]
-        if k == n or r[p] <= stop:
+        if k < _PIVOT_BLOCK:
+            # greedy: one pivot per step, its column formed on every point
+            p = int(np.argmax(resid))
+            c = _check_column(kernel, columns(pts, pts[p : p + 1])[0], p)
+            c -= rows[:k].T @ rows[:k, p]
+            if k == n or resid[p] <= stop:
+                break
+            c /= np.sqrt(resid[p])
+            rows[k] = c
+            resid -= c * c
+            pivoted[p] = True
+            k += 1
+            continue
+        # a panel: its candidates, and the points ``at`` not yet pivoted
+        at = np.flatnonzero(~pivoted)
+        cand = at[np.argsort(-resid[at], kind="stable")[:_PIVOT_BLOCK]]
+        done = k == n or resid[cand[0]] <= stop
+        if done:
+            piv = cand[:1]
+        else:
+            block = _check_column(kernel, columns(pts[cand], pts[cand]), cand, cand)
+            block -= rows[:k, cand].T @ rows[:k, cand]
+            floor = max(stop, _PANEL_RELAX * resid[cand[0]])
+            accepted, t = _greedy_block(block, resid[cand], floor)
+            piv = cand[accepted]
+        # c[r] is the residual column of piv[r] on the points ``at``
+        c = _check_column(kernel, columns(pts[at], pts[piv]), piv, at)
+        c -= np.take(rows[:k, piv].T @ rows[:k], at, axis=1)
+        if done:
             break
-        if k == rows.shape[0]:
-            grown = np.empty((k + min(k, n - k), n))
-            grown[:k] = rows
-            grown[k:, :k0] = 0.0
-            rows, f = grown, grown[:, k0:]
-        col /= np.sqrt(r[p])
-        f[k] = col
-        r -= col * col
-        pivots.append(p)
-        k += 1
+        new = np.linalg.inv(t) @ c
+        b = len(piv)
+        if k + b > rows.shape[0]:
+            # realloc, one panel at a time: a large buffer is moved, not
+            # copied.  No view of rows is alive here.
+            rows.resize((min(n, k + _PIVOT_BLOCK), n), refcheck=False)
+        rows[k : k + b] = 0.0
+        rows[k : k + b, at] = new
+        resid[at] -= np.einsum("ij,ij->j", new, new)
+        pivoted[piv] = True
+        k += b
     floor = -1e-12 * d_max
     if np.min(resid) < floor:
         raise np.linalg.LinAlgError(
             f"matrix is not PSD: residual diagonal {np.min(resid):.6e} below {floor:.6e}"
         )
-    off, limit = float(np.max(np.abs(col))), stop - floor
+    off, limit = float(np.max(np.abs(c), initial=0.0)), stop - floor
     if off > limit:
         raise np.linalg.LinAlgError(
             f"matrix is not PSD: residual column {off:.6e} above {limit:.6e}"
         )
-    # without a compaction the order is still the identity
-    return rows[:k, np.argsort(order)].T if k0 else rows[:k].T
+    return rows[:k].T
+
+
+def _greedy_block(block: np.ndarray, d: np.ndarray, floor: float):
+    """Greedy pivoted Cholesky of a panel's residual block among its
+    candidates, with residual diagonals ``d``, overwriting both: the
+    positions accepted while the largest residual is above ``floor``,
+    in pivot order, and the lower-triangular factor T of their block,
+    whose diagonal is sqrt of each residual as greedy divides by."""
+    lower = np.zeros_like(block)
+    accepted = []
+    while len(accepted) < len(d):
+        p = int(np.argmax(d))
+        if d[p] <= floor:
+            break
+        piv = np.sqrt(d[p])
+        col = block[p] / piv
+        block -= col[:, None] * col
+        d -= col * col
+        d[p] = -np.inf
+        col[p] = piv
+        lower[:, len(accepted)] = col
+        accepted.append(p)
+    return accepted, np.tril(lower[accepted, : len(accepted)])
 
 
 def trigonometric_factor(series: ObservedSeries, kernel: KernelSpec):

@@ -18,11 +18,11 @@ the scaled Bessel function I0e, is Cephes' Chebyshev series in numpy,
 so the package imports no scipy.  The constants, phi_h(y, y) and the
 kernel's L2 norm come from ``_family_constants``, once per
 ``KernelSpec``, which accepts a
-bandwidth only if h, h^-d and every constant are positive finite and,
-for the Gaussian family, 4 pi h^2 is a normal float: about
-4.2e-155 < h < 4e153 for the Gaussian family in d = 1, 7.5e-155 to
-4e153 in d = 2 (2e-103 to 2e107 in d = 3), and h > 1e-154 for von
-Mises (1/h^2 may underflow to 0, the uniform kernel).  Bandwidths
+bandwidth only if h, h^-d, every constant and, for the Gaussian
+family, 4 pi h^2 are finite normal floats: about 4.2e-155 < h < 3.8e153
+for the Gaussian family in d = 1, 7.5e-155 to 1.9e153 in d = 2 (1.8e-103
+to 1.0e102 in d = 3), and h > 1.5e-154 for von Mises (1/h^2 may
+underflow to 0, the uniform kernel).  Bandwidths
 follow h = kappa * n**(-beta); ``select_bandwidth`` alone decides the
 defaults of beta and kappa.
 """
@@ -59,19 +59,20 @@ def _family_constants(spec) -> tuple:
 
 def _checked(kernel, family_constants=lambda kernel: ()) -> tuple:
     """``family_constants(kernel)`` if h, h^-d (the practical threshold's
-    factor) and each constant are positive finite floats, and for the
-    Gaussian family 4 pi h^2 is not subnormal, else ValueError."""
+    factor), each constant and, for the Gaussian family, 4 pi h^2 are
+    finite normal floats, else ValueError: a subnormal value has lost
+    its relative precision."""
     if kernel.dim < 1:
         raise ValueError(f"dim must be >= 1, got {kernel.dim}")
     h = kernel.bandwidth
     try:
         constants = family_constants(kernel)
         values = (h, h**-kernel.dim, *constants)
+        if kernel.family == GAUSSIAN:
+            values += (4.0 * np.pi * h * h,)
     except (OverflowError, ZeroDivisionError):
         values = (np.nan,)
-    if kernel.family == GAUSSIAN and 4.0 * np.pi * h * h < np.finfo(float).tiny:
-        values = (np.nan,)  # a subnormal 4 pi h^2 loses the Gaussian constant's precision
-    if not all(np.isfinite(v) and v > 0 for v in values):
+    if not all(np.isfinite(v) and v >= np.finfo(float).tiny for v in values):
         raise ValueError(f"bandwidth {h} is out of range for {kernel.family} in d = {kernel.dim}")
     return constants
 
@@ -311,7 +312,7 @@ def cross_gram(spec, a, b) -> float:
     b = _check_finite(b).reshape(-1)
     if a.shape != b.shape or a.size != spec.dim:
         raise ValueError(f"points must both have dimension {spec.dim}, got {a.size} and {b.size}")
-    return float(_column_evaluator(spec)(a[None], b)[0])
+    return float(_column_evaluator(spec)(a[None], b[None])[0, 0])
 
 
 def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
@@ -380,31 +381,34 @@ def gram_column(spec, points: np.ndarray, j: int) -> np.ndarray:
     -sin^2 / (1 + c).  A CustomKernel is called N times.
     """
     pts = _as_points(spec, points)
-    return _check_column(spec, _column_evaluator(spec)(pts, pts[j]), j)
+    return _check_column(spec, _column_evaluator(spec)(pts, pts[[j]])[0], j)
 
 
 def _column_evaluator(spec) -> Callable:
-    """``column(pts, y)``: phi_h(x_i, y) for every row x_i of an (M, d)
-    array and one d-vector y.  The kernel constants are read once and
-    nothing is checked: ``gram_column`` adds the checks, and
-    ``gram.cholesky_factor`` validates its points once and checks each
-    column itself."""
+    """``columns(pts, ys)``: phi_h(x_i, y_r) for every row x_i of an
+    (M, d) array and every row y_r of an (m, d) array, as an (m, M)
+    array whose row r is the Gram column of y_r.  The kernel constants
+    are read once and nothing is checked: ``gram_column`` adds the
+    checks, and ``gram.cholesky_factor`` validates its points once and
+    checks each panel of columns itself."""
     h = spec.bandwidth
     if isinstance(spec, CustomKernel):
         fn = spec.cross_gram_fn
-        return lambda pts, y: np.array([fn(p, y, h) for p in pts], dtype=float)
+        return lambda pts, ys: np.array(
+            [[fn(p, y, h) for p in pts] for y in ys], dtype=float
+        ).reshape(len(ys), len(pts))
     norm = spec._norm
     if spec.family == GAUSSIAN:
         minus_4h2 = -(4.0 * h * h)
         coords = range(1, spec.dim)
 
-        def gaussian(pts, y):
+        def gaussian(pts, ys):
             # one coordinate at a time, in place: the sum of squares in
             # the order of np.sum over a row, at a third of its cost
-            d2 = pts[:, 0] - y[0]
+            d2 = pts[:, 0] - ys[:, :1]
             d2 *= d2
             for c in coords:
-                diff = pts[:, c] - y[c]
+                diff = pts[:, c] - ys[:, c : c + 1]
                 diff *= diff
                 d2 += diff
             d2 /= minus_4h2
@@ -415,8 +419,8 @@ def _column_evaluator(spec) -> Callable:
         return gaussian
     kap = spec.concentration
 
-    def vonmises(pts, y):
-        half = 0.5 * (pts[:, 0] - y[0])
+    def vonmises(pts, ys):
+        half = 0.5 * (pts[:, 0] - ys[:, :1])
         c = np.abs(np.cos(half))
         # c - 1 = -sin^2 / (1 + c) keeps its relative accuracy near c = 1,
         # where 2 * kap * (c - 1) would multiply the rounding of c by kap
@@ -429,14 +433,18 @@ def _column_evaluator(spec) -> Callable:
 
 def _check_column(spec, col: np.ndarray, j, index=None) -> np.ndarray:
     """``col`` if finite, else FloatingPointError naming the first bad
-    pair (i, j), or (i, i) for the diagonal (j None).  With ``index``,
-    i and j are positions in ``col`` and index[i], index[j] the points
-    named."""
+    pair (i, j), or (i, i) for the diagonal (j None).  A panel, a 2-D
+    ``col`` whose row r is the column of point j[r], is searched row by
+    row.  With ``index``, i is a position in a column and index[i] the
+    point named."""
     bad = ~np.isfinite(col)
     if bad.any():
         i = int(np.argmax(bad))
+        if col.ndim == 2:
+            r, i = divmod(i, col.shape[1])
+            j = int(j[r])
         if index is not None:
-            i, j = int(index[i]), int(index[j])
+            i = int(index[i])
         raise FloatingPointError(
             f"non-finite kernel value for points {i} and {i if j is None else j} "
             f"(bandwidth {spec.bandwidth})"

@@ -135,6 +135,19 @@ class TestEstimateCommand:
         assert code == 2
         assert "configuration error: bandwidth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("dim", "kappa"), [(2, "5e153"), (3, "1e105")])
+    def test_subnormal_gaussian_constant_is_config_error(self, tmp_path, capsys, dim, kappa):
+        # h = kappa * 60^(-1/(4 + 2d)): 3.0e153 in d = 2 and 6.6e104 in
+        # d = 3, where (4 pi h^2)^(-d/2) is subnormal
+        path = tmp_path / "series.txt"
+        assert run_cli(
+            ["simulate", "--scenario", "gauss-shift", "--n", "60", "--dim", str(dim),
+             "--seed", "1", "--out", str(path)]
+        ) == 0
+        code = run_cli(["estimate", "--input", str(path), "--dim", str(dim), "--kappa", kappa])
+        assert code == 2
+        assert "configuration error: bandwidth" in capsys.readouterr().err
+
     def test_bad_kappa_is_config_error(self, gauss_shift_file):
         code = run_cli(
             ["estimate", "--input", str(gauss_shift_file), "--kappa", "-2"]

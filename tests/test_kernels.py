@@ -639,6 +639,19 @@ class TestBandwidth:
         spec = KernelSpec("gaussian", 1e-150)
         assert spec._norm == pytest.approx(1e150 / np.sqrt(4.0 * np.pi), rel=1e-15)
 
+    @pytest.mark.parametrize(("dim", "h"), [(2, 3e153), (3, 2e102), (3, 1e107)])
+    def test_subnormal_gaussian_constant_rejected(self, dim, h):
+        # (4 pi h^2)^(-d/2) is subnormal here: 8.8e-309 at d = 2, and
+        # 2.8e-309 and 2.5e-323 at d = 3, the last 10% off its exact value
+        with pytest.raises(ValueError, match=re.escape(f"bandwidth {h} is out of range")):
+            KernelSpec("gaussian", h, dim=dim)
+
+    @pytest.mark.parametrize(("dim", "h"), [(2, 1.8e153), (3, 1e102)])
+    def test_top_of_the_gaussian_range_keeps_a_normal_constant(self, dim, h):
+        spec = KernelSpec("gaussian", h, dim=dim)
+        assert spec._norm >= np.finfo(float).tiny
+        assert spec._norm == pytest.approx((4.0 * np.pi) ** (-dim / 2) / h**dim, rel=1e-15)
+
     def test_vonmises_huge_bandwidth_is_the_uniform_kernel(self):
         # the concentration underflows to 0, which is a proper kernel
         spec = KernelSpec("vonmises", 1e200)
