@@ -263,10 +263,11 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
 
 def _greedy_block(block: np.ndarray, d: np.ndarray, floor: float):
     """Greedy pivoted Cholesky of a panel's residual block among its
-    candidates, with residual diagonals ``d``, overwriting both: the
-    positions accepted while the largest residual is above ``floor``,
-    in pivot order, and the lower-triangular factor T of their block,
-    whose diagonal is sqrt of each residual as greedy divides by."""
+    candidates, with residual diagonals ``d``, overwriting both.
+    Returns the positions accepted while the largest residual is above
+    ``floor``, in pivot order, and the lower-triangular factor T of
+    their block, whose T[j, j] is the square root of pivot j's
+    residual, greedy's divisor."""
     lower = np.zeros_like(block)
     accepted = []
     while len(accepted) < len(d):
