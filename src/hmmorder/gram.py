@@ -228,7 +228,8 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
             piv = cand[:1]
         else:
             block = _check_column(kernel, columns(pts[cand], pts[cand]), cand, cand)
-            block -= rows[:k, cand].T @ rows[:k, cand]
+            g = rows[:k, cand]
+            block -= g.T @ g
             floor = max(stop, _PANEL_RELAX * resid[cand[0]])
             accepted, t = _greedy_block(block, resid[cand], floor)
             piv = cand[accepted]
@@ -263,26 +264,27 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
 
 def _greedy_block(block: np.ndarray, d: np.ndarray, floor: float):
     """Greedy pivoted Cholesky of a panel's residual block among its
-    candidates, with residual diagonals ``d``, overwriting both.
+    candidates, with residual diagonals ``d``, which it overwrites.
     Returns the positions accepted while the largest residual is above
     ``floor``, in pivot order, and the lower-triangular factor T of
     their block, whose T[j, j] is the square root of pivot j's
-    residual, greedy's divisor."""
-    lower = np.zeros_like(block)
+    residual, greedy's divisor.  Left-looking: each column is one GEMV
+    over the earlier ones, so the block is read, not updated."""
+    # rows[j] is column j of the block's factor
+    rows = np.zeros_like(block)
     accepted = []
-    while len(accepted) < len(d):
-        p = int(np.argmax(d))
+    for j, col in enumerate(rows):
+        p = d.argmax()
         if d[p] <= floor:
             break
         piv = np.sqrt(d[p])
-        col = block[p] / piv
-        block -= col[:, None] * col
+        np.subtract(block[p], rows[:j, p] @ rows[:j], out=col)
+        col /= piv
         d -= col * col
         d[p] = -np.inf
         col[p] = piv
-        lower[:, len(accepted)] = col
         accepted.append(p)
-    return accepted, np.tril(lower[accepted, : len(accepted)])
+    return accepted, np.tril(rows[: len(accepted), accepted].T)
 
 
 def trigonometric_factor(series: ObservedSeries, kernel: KernelSpec):

@@ -541,8 +541,12 @@ class TestPanels:
         w = kernel._norm * np.exp(d2 / -(4.0 * kernel.bandwidth**2))
         w_max = float(np.max(np.diag(w)))
         assert np.max(np.abs(f @ f.T - w)) <= 1e-12 * w_max
+        # the stop rule bounds the residual diagonal the loop tracks by
+        # N * eps * max W; summing |F_i|^2 afresh from k entries moves it
+        # by up to about k * eps * W_ii (1.0014 times the stop level at
+        # seed 2498, n = 333, d = 2)
         resid = np.diag(w) - np.sum(f * f, axis=1)
-        assert np.max(resid) <= n * np.finfo(float).eps * w_max
+        assert np.max(resid) <= (n + f.shape[1]) * np.finfo(float).eps * w_max
 
 
 class TestTrigonometricFactor:
