@@ -394,7 +394,7 @@ def _column_evaluator(spec) -> Callable:
     h = spec.bandwidth
     if isinstance(spec, CustomKernel):
         fn = spec.cross_gram_fn
-        # reshaped so that no ys still gives an (0, M) array
+        # reshaped so that an empty ys still gives a (0, M) array
         return lambda pts, ys: np.array(
             [[fn(p, y, h) for p in pts] for y in ys], dtype=float
         ).reshape(len(ys), len(pts))
