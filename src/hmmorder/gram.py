@@ -230,8 +230,8 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
             block = _check_column(kernel, columns(pts[cand], pts[cand]), cand, cand)
             g = rows[:k, cand]
             block -= g.T @ g
-            floor = max(stop, _PANEL_RELAX * resid[cand[0]])
-            accepted, t = _greedy_block(block, resid[cand], floor)
+            level = max(stop, _PANEL_RELAX * resid[cand[0]])
+            accepted, t = _greedy_block(block, resid[cand], level)
             piv = cand[accepted]
         # c[r] is the residual column of piv[r] on the points ``at``
         c = _check_column(kernel, columns(pts[at], pts[piv]), piv, at)
@@ -262,11 +262,11 @@ def cholesky_factor(series: ObservedSeries, kernel: KernelSpec) -> np.ndarray:
     return rows[:k].T
 
 
-def _greedy_block(block: np.ndarray, d: np.ndarray, floor: float):
+def _greedy_block(block: np.ndarray, d: np.ndarray, level: float):
     """Greedy pivoted Cholesky of a panel's residual block among its
     candidates, with residual diagonals ``d``, which it overwrites.
     Returns the positions accepted while the largest residual is above
-    ``floor``, in pivot order, and the lower-triangular factor T of
+    ``level``, in pivot order, and the lower-triangular factor T of
     their block, whose T[j, j] is the square root of pivot j's
     residual, greedy's divisor.  Left-looking: each column is one GEMV
     over the earlier ones, so the block is read, not updated."""
@@ -275,7 +275,7 @@ def _greedy_block(block: np.ndarray, d: np.ndarray, floor: float):
     accepted = []
     for j, col in enumerate(rows):
         p = d.argmax()
-        if d[p] <= floor:
+        if d[p] <= level:
             break
         piv = np.sqrt(d[p])
         np.subtract(block[p], rows[:j, p] @ rows[:j], out=col)
