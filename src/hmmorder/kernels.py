@@ -477,7 +477,8 @@ def silverman_kappa(series: ObservedSeries) -> float:
     if np.any(sds <= 0):
         raise ValueError("degenerate data: a coordinate has zero variance")
     if series.dim == 1:
-        iqr = float(np.quantile(pts[:, 0], 0.75) - np.quantile(pts[:, 0], 0.25))
+        q1, q3 = np.quantile(pts[:, 0], [0.25, 0.75])
+        iqr = float(q3 - q1)
         scale = min(float(sds[0]), iqr / 1.34)
         if scale <= 0:
             raise ValueError("degenerate data: zero interquartile range and variance")

@@ -2,8 +2,8 @@
 
 Covers the emission families used throughout the experiments: the
 state-shift model with exchangeable noise (Gaussian, Student t3,
-Laplace, Exponential), Beta emissions on [0, 1], Gaussian location
-emissions on R, and von Mises emissions on the circle.
+Laplace, Exponential), Beta emissions on [0, 1], and von Mises
+emissions on the circle.
 
 The chain is walked in blocks of ``_WALK_BLOCK`` steps: each block is
 walked from every state at once by vectorised gathers, and a short
@@ -74,19 +74,6 @@ class Beta:
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.beta(self.a, self.b, size)
-
-
-@dataclass(frozen=True)
-class GaussianLoc:
-    mean: float
-    sd: float = 1.0
-
-    def __post_init__(self):
-        if self.sd <= 0:
-            raise ValueError("sd must be positive")
-
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.mean + self.sd * rng.standard_normal(size)
 
 
 @dataclass(frozen=True)
@@ -280,7 +267,7 @@ def shift_scenario(
 #: emissions and sample space of each named paper scenario
 _PAPER_EMISSIONS = {
     "beta3": ((Beta(12.0, 1.0), Beta(1.0, 12.0), Beta(12.0, 12.0)), LINEAR),
-    "gauss3": ((GaussianLoc(-6.0), GaussianLoc(6.0), GaussianLoc(0.0)), LINEAR),
+    "gauss3": ((ShiftNoise(-6.0), ShiftNoise(6.0), ShiftNoise(0.0)), LINEAR),
     "vm3": (
         (
             VonMisesLoc(np.pi / 2, 10.0),

@@ -10,9 +10,9 @@ are "significant": larger than ``TAU_FACTOR`` = 1.5 times the value
 predicted by a straight line fitted through the smallest ``n_reg``
 singular values against their index.
 
-The basis takes one ``cos`` and one ``sin`` pass over ``pi * y``; the
-higher frequencies follow from the angle-addition recurrence, whose
-error grows linearly in k.  The moment matrix is the transpose of
+The basis is the cosine rows of ``gram.harmonics`` at ``pi * y``, the
+angle-addition recurrence the von Mises features share, whose error
+grows linearly in k.  The moment matrix is the transpose of
 ``gram.pair_moments`` over the basis, the same walk over the pairs as
 the operator estimator's pair product: only the features differ.
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import build_selectors, pair_moments
+from .gram import build_selectors, harmonics, pair_moments
 from .series import ObservedSeries
 
 #: a singular value is significant above this multiple of the fitted line
@@ -67,27 +67,14 @@ class SpectralResult:
 
 def basis_matrix(values: np.ndarray, n_basis: int) -> np.ndarray:
     """Trigonometric basis phi_0 = 1, phi_k = sqrt(2) cos(pi k y) for
-    k = 1..n_basis-1, one row per point.
-
-    Row k of the (n_basis, n) buffer holds cos(k theta), theta = pi y,
-    the real part of z_k = z_{k-1} z_1 with z_k = cos(k theta) + i
-    sin(k theta).  That complex product is the angle-addition step
-    c_k = c_{k-1} c_1 - s_{k-1} s_1, s_k = s_{k-1} c_1 + c_{k-1} s_1.
-    The (n, n_basis) transpose view is returned.
-    """
+    k = 1..n_basis-1, one row per point: the (n, n_basis) transpose
+    view of a buffer whose row k is cos(k theta), theta = pi y, from
+    ``gram.harmonics``."""
     theta = np.pi * np.asarray(values, dtype=float)
     rows = np.empty((n_basis, theta.size))
     rows[0] = 1.0
-    if n_basis > 1:
-        z1 = np.empty(theta.size, dtype=complex)
-        np.cos(theta, out=z1.real)
-        np.sin(theta, out=z1.imag)
-        rows[1] = z1.real
-        z = z1.copy()
-        for k in range(2, n_basis):
-            np.multiply(z, z1, out=z)
-            rows[k] = z.real
-        rows[1:] *= np.sqrt(2.0)
+    harmonics(theta, rows[1:])
+    rows[1:] *= np.sqrt(2.0)
     return rows.T
 
 

@@ -423,18 +423,18 @@ def factor_r(factor, series, l_max=10):
     return tail_stats(spec, l_max)
 
 
-def late_pair_kernel(value):
+def late_pair_kernel(value, diag=(0.3, 0.25)):
     """A CustomKernel on the points 10 * i whose Gram is the identity
-    but for points 70 and 90: diagonals 0.3 and 0.25, and ``value``
-    between them.  Every other point has the larger residual diagonal,
-    so these two are the last pivots, after two compactions."""
+    but for points 70 and 90: diagonals ``diag``, and ``value`` between
+    them.  Every other point has the larger residual diagonal, so these
+    two are the last pivots, after two panels."""
 
     def cross(a, b, h):
         x, y = float(a[0]), float(b[0])
         if {x, y} == {700.0, 900.0}:
             return value
         if x == y:
-            return {700.0: 0.3, 900.0: 0.25}.get(x, 1.0)
+            return dict(zip((700.0, 900.0), diag)).get(x, 1.0)
         return float(np.exp(-((x - y) ** 2)))
 
     return CustomKernel(cross_gram_fn=cross, bandwidth=1.0)
@@ -493,11 +493,21 @@ class TestCompaction:
         w = build_gram(LATE_PAIR_SERIES, late_pair_kernel(0.2))
         assert np.max(np.abs(f @ f.T - w)) <= 1e-15
 
-    def test_indefinite_after_compaction_raises(self):
-        # 0.5^2 > 0.3 * 0.25: the residual diagonal of point 90 turns
-        # negative at the 149th pivot
-        with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
-            cholesky_factor(LATE_PAIR_SERIES, late_pair_kernel(0.5))
+    @pytest.mark.parametrize(
+        "diag, match",
+        [
+            # 0.5^2 > 0.3 * 0.25: the residual diagonal of point 90 turns
+            # negative at the 149th pivot
+            ((0.3, 0.25), "not PSD: residual diagonal"),
+            # both residual diagonals are 0, at the stop level after 148
+            # pivots: only the residual column of point 70 shows the 0.5
+            ((0.0, 0.0), r"not PSD: residual column 5\.0+e-01"),
+        ],
+        ids=["negative-diagonal", "zero-diagonals"],
+    )
+    def test_indefinite_after_compaction_raises(self, diag, match):
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            cholesky_factor(LATE_PAIR_SERIES, late_pair_kernel(0.5, diag))
 
     def test_nan_after_compaction_names_the_original_points(self):
         with pytest.raises(FloatingPointError, match="points 90 and 70 "):

@@ -9,7 +9,6 @@ from scipy.stats import chisquare
 from hmmorder.series import CIRCULAR, ObservedSeries
 from hmmorder.simulate import (
     Beta,
-    GaussianLoc,
     HmmSpec,
     ShiftNoise,
     VonMisesLoc,
@@ -115,7 +114,7 @@ class TestHmmSpec:
             HmmSpec(
                 transition=np.array([[0.7, 0.2], [0.5, 0.5]]),
                 stationary=np.array([0.5, 0.5]),
-                emissions=(GaussianLoc(0.0), GaussianLoc(1.0)),
+                emissions=(ShiftNoise(0.0), ShiftNoise(1.0)),
             )
 
     def test_wrong_stationary_rejected(self):
@@ -123,13 +122,13 @@ class TestHmmSpec:
             HmmSpec(
                 transition=np.array([[0.9, 0.1], [0.2, 0.8]]),
                 stationary=np.array([0.5, 0.5]),
-                emissions=(GaussianLoc(0.0), GaussianLoc(1.0)),
+                emissions=(ShiftNoise(0.0), ShiftNoise(1.0)),
             )
 
     def test_singular_transition_warns(self):
         with pytest.warns(UserWarning, match="rank deficient"):
             HmmSpec.from_transition(
-                np.full((2, 2), 0.5), (GaussianLoc(0.0), GaussianLoc(1.0))
+                np.full((2, 2), 0.5), (ShiftNoise(0.0), ShiftNoise(1.0))
             )
 
 
@@ -227,7 +226,7 @@ class TestSimulate:
         # the stationary cumsum of nu = 0.15 ends at 0.9999999999999998
         spec = HmmSpec.from_transition(
             make_transition_nu(0.15),
-            (GaussianLoc(0.0), GaussianLoc(1.0), GaussianLoc(2.0)),
+            (ShiftNoise(0.0), ShiftNoise(1.0), ShiftNoise(2.0)),
         )
         assert np.cumsum(spec.stationary)[-1] < 1.0
         monkeypatch.setattr(
@@ -267,7 +266,7 @@ class TestBlockWalk:
             assert_matches_per_step(spec, n_pairs, seed=n_pairs)
 
     def test_one_state_chain(self):
-        spec = HmmSpec.from_transition([[1.0]], (GaussianLoc(0.0),))
+        spec = HmmSpec.from_transition([[1.0]], (ShiftNoise(0.0),))
         for n_pairs in (1, 64, 200):
             states = assert_matches_per_step(spec, n_pairs, seed=4)
             assert np.array_equal(states, np.zeros(n_pairs + 1, dtype=np.intp))
@@ -282,7 +281,7 @@ class TestBlockWalk:
                 [0.0, 0.25, 0.0, 0.0, 0.75],
             ]
         )
-        spec = HmmSpec.from_transition(a, tuple(GaussianLoc(float(k)) for k in range(5)))
+        spec = HmmSpec.from_transition(a, tuple(ShiftNoise(float(k)) for k in range(5)))
         for n_pairs in (5, 64, 65, 1000):
             states = assert_matches_per_step(spec, n_pairs, seed=n_pairs)
             assert np.all(a[states[:-1], states[1:]] > 0)
@@ -299,8 +298,8 @@ class TestScenarios:
 
     def test_gauss_trio(self):
         spec = paper_scenarios()["gauss3"]
-        means = [e.mean for e in spec.emissions]
-        assert means == [-6.0, 6.0, 0.0]
+        shifts = [e.shift for e in spec.emissions]
+        assert shifts == [-6.0, 6.0, 0.0]
 
     def test_vm_trio(self):
         spec = paper_scenarios()["vm3"]
