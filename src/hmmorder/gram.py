@@ -12,22 +12,22 @@ product
 has exactly the nonzero singular values of the empirical smoothed pair
 operator.  ``pair_moments`` is the one walk over the pairs: it sums
 f(y_{t+1}) f(y_t)^T over each sequence in blocks of at most
-``_PAIR_BLOCK`` pairs, whatever the features f.  The operator takes
-the rows of F as features; the spectral baseline takes a cosine basis.
-``estimate_operator_matrix`` differs by size and kernel only in where
-F comes from, split at N = FULL_SVD_MAX_N points:
+``_PAIR_BLOCK`` pairs, asking a map ``rows(a, b)`` for the features f
+of one block's points at a time; the spectral baseline's are a cosine
+basis.  ``estimate_operator_matrix`` differs by size and kernel only
+in where the rows of F come from, split at N = FULL_SVD_MAX_N points:
 
 * up to it, the dense symmetric square root M = W^(1/2), so that P is
   the N x N product (1/n) M S M with S the pair-shift selector;
 * above it, for a von Mises kernel, 2M + 1 trigonometric features
-  from the Fourier series of phi_h (``trigonometric_factor``), with M
-  the fewest harmonics that leave out at most the Cholesky factor's
-  stop level on each diagonal entry: 33-63 columns from n = 600 to
-  64000 at the default bandwidth.  Their harmonics come from the
-  recurrence ``harmonics``, which the spectral baseline's cosine basis
-  shares.  When 2M + 1 would exceed N (tiny bandwidths), the Cholesky
-  factor below is smaller and takes over;
-* otherwise a pivoted Cholesky factor of rank k (``cholesky_factor``),
+  from the Fourier series of phi_h (``vonmises_features``), evaluated
+  per block and never stored, with M the fewest harmonics that leave
+  out at most the Cholesky factor's stop level on each diagonal entry:
+  33-63 features from n = 600 to 64000 at the default bandwidth.
+  Their harmonics come from ``harmonics``, which the spectral
+  baseline's cosine basis shares.  When 2M + 1 would exceed N (tiny
+  bandwidths), the Cholesky factor below is smaller and takes over;
+* otherwise a stored N x k pivoted Cholesky factor (``cholesky_factor``),
   which stops once the largest residual diagonal is at the rounding
   level of W's own entries.  One greedy step (``_greedy``, one GEMV
   per pivot) takes its first 64 pivots on kernel columns over every
@@ -62,7 +62,7 @@ from .kernels import (
 from .series import ObservedSeries
 
 #: one size limit with two uses: above this many points the operator
-#: spectrum comes from the trigonometric or the pivoted Cholesky factor
+#: spectrum comes from the von Mises features or the pivoted Cholesky factor
 #: instead of the dense square root, and above this many rows of a pair
 #: matrix its leading singular values come from block Krylov iteration
 #: instead of a full SVD (the measured crossover at l_max = 10)
@@ -311,33 +311,36 @@ def harmonics(theta: np.ndarray, cos: np.ndarray, sin: np.ndarray | None = None)
             sin[m] = z.imag
 
 
-def trigonometric_factor(series: ObservedSeries, kernel: KernelSpec):
-    """N x (2M + 1) factor F with F F^T = W for a von Mises kernel, from
-    its Fourier series: the rows are the features
+def vonmises_features(series: ObservedSeries, kernel: KernelSpec):
+    """Feature map ``rows(a, b)`` of a von Mises kernel: the rows
 
         f(y) = (2 pi)^(-1/2) [1, sqrt(2) rho_m cos(m y), sqrt(2) rho_m sin(m y)],
 
-    m = 1..M, with rho_m = I_m(kap)/I_0(kap) and M the fewest harmonics
-    whose omitted part of every diagonal entry is at most N * eps *
-    phi_h(y, y), ``cholesky_factor``'s stop level.  The omitted part of W
-    is PSD and the same on every diagonal entry, so F is exact to the
-    same rounding level.  None if 2M + 1 would exceed N, where the
-    Cholesky factor is smaller.  cos(m y) and sin(m y) come from
-    ``harmonics``.
+    m = 1..M, of pooled points a..b-1, from the Fourier series of phi_h,
+    with rho_m = I_m(kap)/I_0(kap).  Over all N points they make an F
+    with F F^T = W up to M's omitted part of each diagonal entry: PSD,
+    equal on all of them and at most ``cholesky_factor``'s stop level
+    N * eps * phi_h(y, y).  M and the weights are fixed once and act
+    point by point, so a block's rows are F's, bit for bit.  None if
+    2M + 1 would exceed N, where the Cholesky factor is smaller.
     """
     y = _as_points(kernel, series.points)[:, 0]
-    n = y.size
-    stop = n * np.finfo(float).eps * kernel._diag
-    rho = vonmises_harmonics(kernel.concentration, stop, (n - 1) // 2)
+    stop = y.size * np.finfo(float).eps * kernel._diag
+    rho = vonmises_harmonics(kernel.concentration, stop, (y.size - 1) // 2)
     if rho is None:
         return None
     m = rho.size
-    # the features as rows, so each harmonic is one contiguous vector
-    rows = np.empty((2 * m + 1, n))
-    rows[0] = 1.0 / np.sqrt(2.0 * np.pi)
-    harmonics(y, rows[1 : m + 1], rows[m + 1 :])
-    rows[1:] *= np.tile(rho / np.sqrt(np.pi), 2)[:, None]
-    return rows.T
+    weights = np.tile(rho / np.sqrt(np.pi), 2)[:, None]
+
+    def rows(a, b):
+        # the features as rows, so each harmonic is one contiguous vector
+        f = np.empty((2 * m + 1, b - a))
+        f[0] = 1.0 / np.sqrt(2.0 * np.pi)
+        harmonics(y[a:b], f[1 : m + 1], f[m + 1 :])
+        f[1:] *= weights
+        return f.T
+
+    return rows
 
 
 def psd_sqrt(w: np.ndarray) -> np.ndarray:
@@ -467,23 +470,19 @@ def estimate_operator_matrix(
     series: ObservedSeries, kernel: KernelSpec, l_max: int = DEFAULT_L_MAX
 ) -> SingularSpectrum:
     """Singular spectrum of the empirical smoothed pair operator of a
-    series: the pair product of the Gram square root up to
-    FULL_SVD_MAX_N points; above it, of the trigonometric factor of a
-    von Mises Gram, or else of the pivoted Cholesky factor.  Singular
-    values past the factor's rank are exactly zero and are stored as
-    such."""
-    if series.n_points <= FULL_SVD_MAX_N:
-        factor = psd_sqrt(build_gram(series, kernel))
+    series, from the pair product of the Gram square root up to
+    FULL_SVD_MAX_N points, above it of the von Mises features or else
+    the pivoted Cholesky factor.  Singular values past the factor's rank
+    are exactly zero and are stored as such."""
+    sel = build_selectors(series)
+    large = series.n_points > FULL_SVD_MAX_N
+    rows = vonmises_features(series, kernel) if large and kernel.family == VONMISES else None
+    if rows is not None:
+        product = pair_moments(sel, rows)
+    elif not large:
+        product = build_shifted_product(psd_sqrt(build_gram(series, kernel)), sel)
     else:
-        factor = None
-        if kernel.family == VONMISES:
-            factor = trigonometric_factor(series, kernel)
-        if factor is None:
-            factor = cholesky_factor(series, kernel)
-    product = build_shifted_product(factor, build_selectors(series))
-    # free the factor before the SVD: held through it, the N x k buffer
-    # raised peak RSS by up to 7 MB on n = 1000, d = 3 series
-    del factor
+        product = build_shifted_product(cholesky_factor(series, kernel), sel)
     spec = singular_spectrum(product, l_max=l_max)
     missing = min(l_max, series.n_points) - spec.sigma.size
     if missing <= 0:

@@ -320,15 +320,15 @@ def cross_gram_matrix(spec, points: np.ndarray) -> np.ndarray:
 
     The upper triangle is checked for non-finite values in row-major
     order and mirrored, so the result is bit-for-bit symmetric.  A
-    CustomKernel is called once per pair i <= j.
+    CustomKernel is called once per pair i <= j, by the column
+    evaluator, one row at a time.
     """
     pts = _as_points(spec, points)
     if isinstance(spec, CustomKernel):
-        n = pts.shape[0]
-        w = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                w[i, j] = spec.cross_gram_fn(pts[i], pts[j], spec.bandwidth)
+        columns = _column_evaluator(spec)
+        w = np.zeros((len(pts), len(pts)))
+        for i in range(len(pts)):
+            w[i, i:] = columns(pts[i : i + 1], pts[i:])[:, 0]
     elif spec.family == GAUSSIAN:
         h = spec.bandwidth
         sq = pts @ pts.T

@@ -318,8 +318,8 @@ def vm3_estimate():
 
 
 class TestRotationInvariance:
-    """Circular data above FULL_SVD_MAX_N points, on the trigonometric
-    factor: a rotation turns each harmonic's (cos, sin) pair by an
+    """Circular data above FULL_SVD_MAX_N points, on the von Mises
+    features: a rotation turns each harmonic's (cos, sin) pair by an
     orthogonal matrix, which the pair product's spectrum does not see."""
 
     @given(st.floats(-100.0, 100.0))

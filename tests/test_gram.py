@@ -19,7 +19,7 @@ from hmmorder.gram import (
     pair_moments,
     psd_sqrt,
     singular_spectrum,
-    trigonometric_factor,
+    vonmises_features,
 )
 from hmmorder.estimator import count_exceedances, estimate_order, tail_stats
 from hmmorder.kernels import (
@@ -346,29 +346,30 @@ class TestFactorPath:
 
         for name in ("cross_gram_matrix", "psd_sqrt"):
             monkeypatch.setattr(gram_mod, name, dense)
-        columns = []
+        widths = []
 
-        def product(factor, sel):
-            columns.append(factor.shape[1])
-            return build_shifted_product(factor, sel)
+        def moments(sel, rows):
+            # every pair product is summed here, from stored or streamed rows
+            out = pair_moments(sel, rows)
+            widths.append(out.shape[1])
+            return out
 
-        monkeypatch.setattr(gram_mod, "build_shifted_product", product)
+        monkeypatch.setattr(gram_mod, "pair_moments", moments)
         # n pairs are n + 1 points: the smallest series on the factor path
         series, _ = simulate(get_scenario("vm3"), FULL_SVD_MAX_N, seed=0)
         assert np.all(np.isfinite(estimate_order(series).r_values))
-        assert len(columns) == 1 and columns[0] < series.n_points
+        assert len(widths) == 1 and widths[0] < series.n_points
 
     def test_peak_memory_far_below_one_gram(self):
         series, _ = simulate(get_scenario("gauss-shift"), 2000, seed=0)
-        estimate_order(series)  # loads lazily imported modules outside the trace
-        tracemalloc.start()
-        try:
-            estimate_order(series)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # about 2 MB at rank 32, against 32 MB for one N x N array
-        assert peak <= 8 * series.n_points**2 / 8
+        assert estimate_peak(series) <= 8 * series.n_points**2 / 8
+
+    def test_von_mises_features_are_never_stored(self):
+        series, _ = simulate(get_scenario("vm3"), 64000, seed=0)
+        # about 2.6 MB for one block of features, against 33 MB for the
+        # 63 features of every point
+        assert estimate_peak(series) <= 10 * series.n_points * 8
 
     @pytest.mark.parametrize("family", ["gaussian", "vonmises"])
     def test_factor_reproduces_the_gram(self, family):
@@ -388,6 +389,17 @@ class TestFactorPath:
         assert spec.sigma.size == 5
         assert spec.sigma[0] > 0 and np.all(spec.sigma[1:] == 0.0)
         assert tail_stats(spec, 5)[1] == pytest.approx(0.0, abs=1e-7 * spec.sigma[0])
+
+
+def estimate_peak(series):
+    """tracemalloc peak of one ``estimate_order`` call, in bytes."""
+    estimate_order(series)  # loads lazily imported modules outside the trace
+    tracemalloc.start()
+    try:
+        estimate_order(series)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cholesky_factor_reference(series, kernel):
@@ -559,8 +571,14 @@ class TestPanels:
         assert np.max(resid) <= (n + f.shape[1]) * np.finfo(float).eps * w_max
 
 
+def all_features(series, kernel):
+    """The von Mises features of every point, stacked: the N x (2M + 1)
+    factor that the estimator never stores."""
+    return vonmises_features(series, kernel)(0, series.n_points)
+
+
 class TestTrigonometricFactor:
-    """The von Mises factor from the Fourier series of phi_h, against
+    """The von Mises features from the Fourier series of phi_h, against
     the Gram matrix and the pivoted Cholesky factor."""
 
     @pytest.mark.parametrize("kap", [None, 0.5, 100.0], ids=["default", "kap0.5", "kap100"])
@@ -568,7 +586,7 @@ class TestTrigonometricFactor:
         series, _ = simulate(get_scenario("vm3"), 599, seed=3)
         h = select_bandwidth(BandwidthRule(), series) if kap is None else kap**-0.5
         kernel = KernelSpec("vonmises", h)
-        f = trigonometric_factor(series, kernel)
+        f = all_features(series, kernel)
         assert f.shape[1] % 2 == 1 and f.shape[1] < series.n_points
         w = cross_gram_matrix(kernel, series.points)
         assert np.max(np.abs(f @ f.T - w)) <= 1e-12 * kernel._diag
@@ -583,8 +601,7 @@ class TestTrigonometricFactor:
         series, _ = simulate(get_scenario("vm3"), 64000, seed=0)
         est = estimate_order(series)
         kernel = KernelSpec("vonmises", est.bandwidth)
-        features = trigonometric_factor(series, kernel)
-        assert features is not None
+        features = all_features(series, kernel)
         assert np.array_equal(est.r_values, factor_r(features, series))
         del features
         ref = factor_r(cholesky_factor(series, kernel), series)
@@ -597,7 +614,7 @@ class TestTrigonometricFactor:
 
         series, _ = simulate(get_scenario("vm3"), 1000, seed=0)
         kernel = KernelSpec("vonmises", 0.003)
-        assert trigonometric_factor(series, kernel) is None
+        assert vonmises_features(series, kernel) is None
         factors = []
 
         def cholesky(*args):
@@ -617,7 +634,7 @@ class TestTrigonometricFactor:
         def refuse(series, kernel):
             raise AssertionError(f"wrong factor for {kernel.family}")
 
-        name = "cholesky_factor" if scenario == "vm3" else "trigonometric_factor"
+        name = "cholesky_factor" if scenario == "vm3" else "vonmises_features"
         monkeypatch.setattr(gram_mod, name, refuse)
         series, _ = simulate(get_scenario(scenario), 300, seed=1)
         assert np.all(np.isfinite(estimate_order(series).r_values))
@@ -625,7 +642,28 @@ class TestTrigonometricFactor:
     def test_dimension_is_checked(self):
         series = ObservedSeries.from_points(np.zeros((300, 2)))
         with pytest.raises(ValueError, match="points must be"):
-            trigonometric_factor(series, KernelSpec("vonmises", 0.5))
+            vonmises_features(series, KernelSpec("vonmises", 0.5))
+
+    @pytest.mark.parametrize("h", [None, 1e200], ids=["default", "uniform"])
+    def test_streamed_features_keep_the_bits(self, h):
+        import hmmorder.gram as gram_mod
+
+        # 3001 + 2501 points: four blocks of pairs, across a sequence end
+        parts = [simulate(get_scenario("vm3"), n, seed=s)[0] for n, s in ((3000, 5), (2500, 6))]
+        series = ObservedSeries(
+            sequences=tuple(p.sequences[0] for p in parts), kind=parts[0].kind
+        )
+        assert series.n_pairs > 2 * gram_mod._PAIR_BLOCK
+        if h is None:
+            h = select_bandwidth(BandwidthRule(), series)
+        rows = vonmises_features(series, KernelSpec("vonmises", h))
+        sel = build_selectors(series)
+        streamed = pair_moments(sel, rows)
+        assert np.array_equal(streamed, build_shifted_product(rows(0, series.n_points), sel))
+        if h == 1e200:
+            # the uniform kernel: M = 0 and one constant feature
+            assert streamed.shape == (1, 1)
+            assert streamed[0, 0] == pytest.approx(1 / (2 * np.pi), rel=1e-14)
 
 
 class TestPairMatrices:

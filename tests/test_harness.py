@@ -382,7 +382,7 @@ class TestImports:
         assert run_python(code) == "False"
 
     def test_vonmises_estimate_loads_no_special_functions(self):
-        # the dense square root at n = 50, the trigonometric factor at
+        # the dense square root at n = 50, the von Mises features at
         # n = 600 and the Cholesky factor at h = 0.003, where the
         # features would outnumber the points
         code = (
